@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "numeric/linear.h"
 #include "obs/metrics.h"
@@ -35,18 +36,30 @@ struct DcMetrics {
   }
 };
 
+// Smallest |dvid| a bordered solve must reach to count as converged: the
+// xtol the bracket/bisect offset search used.
+constexpr double kVidTol = 1e-9;
+
 // One Newton solve at fixed (source_scale, gmin).  Returns true on
 // convergence; x is updated in place with the best iterate either way.
 // All scratch lives in `ws` — including the batch device table when
 // `device_eval` is kBatch — so a warm iteration allocates nothing.
+//
+// With a border, vid is one more unknown and x[out] = target one more
+// equation.  Keller's block elimination solves the bordered system with
+// the one factorization of J: J a = -f and J b = -df/dvid, then
+// dvid = (target - x_out - a_out) / b_out and dx = a + b dvid.  A zero
+// b_out (the output does not respond to vid) fails the solve.  The border
+// is only used at full source scale; border->vid changes only on success.
 bool newton_solve(const NonlinearSystem& sys, double source_scale,
                   double gmin, const OpOptions& opts, DeviceEval device_eval,
                   SimWorkspace* ws, std::vector<double>* x,
-                  int* iterations_used) {
+                  int* iterations_used, OffsetBorder* border = nullptr) {
   DcMetrics& metrics = DcMetrics::get();
   metrics.solves.add();
-  const std::size_t n = sys.layout().size();
-  const std::size_t nv = sys.layout().num_node_unknowns();
+  const MnaLayout& layout = sys.layout();
+  const std::size_t n = layout.size();
+  const std::size_t nv = layout.num_node_unknowns();
   num::RealMatrix& jac = ws->jac;          // eval sizes and refills
   std::vector<double>& f = ws->residual;
   std::vector<double>& dx = ws->step;
@@ -56,10 +69,31 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
   eval_opts.gmin = gmin;
   eval_opts.device_eval = device_eval;
 
+  std::size_t vpos = 0, vneg = 0, out = 0;  // the border's MNA rows
+  double vid = 0.0;
+  if (border != nullptr) {
+    if (layout.node_index(border->out) < 0) {
+      throw std::invalid_argument("offset border on the ground node");
+    }
+    vpos = layout.branch_index(border->vpos);
+    vneg = layout.branch_index(border->vneg);
+    out = static_cast<std::size_t>(layout.node_index(border->out));
+    vid = border->vid;
+  }
+  // f(x), with the driven sources' branch equations v(pos) - v(neg) = V
+  // shifted by +-vid/2 under a border.
+  auto eval_residual = [&](num::RealMatrix* j) {
+    sys.eval(*x, eval_opts, j, &f, nullptr, &ws->devices);
+    if (border != nullptr) {
+      f[vpos] -= 0.5 * vid;
+      f[vneg] += 0.5 * vid;
+    }
+  };
+
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     ++*iterations_used;
     metrics.iterations.add();
-    sys.eval(*x, eval_opts, &jac, &f, nullptr, &ws->devices);
+    eval_residual(&jac);
 
     num::lu_factor_in_place(&jac, &ws->lu);
     if (ws->lu.singular) {
@@ -71,8 +105,24 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
     for (std::size_t i = 0; i < n; ++i) dx[i] = -f[i];
     num::lu_solve_in_place(ws->lu, &dx);
 
+    double dvid = 0.0;
+    if (border != nullptr) {
+      std::vector<double>& b = ws->border;
+      b.assign(n, 0.0);
+      b[vpos] = 0.5;
+      b[vneg] = -0.5;
+      num::lu_solve_in_place(ws->lu, &b);
+      dvid = (border->target - (*x)[out] - dx[out]) / b[out];
+      if (!std::isfinite(dvid)) {  // b_out == 0: out ignores vid
+        metrics.nonconverged.add();
+        return false;
+      }
+      for (std::size_t i = 0; i < n; ++i) dx[i] += b[i] * dvid;
+    }
+
     // Damping: cap the largest node-voltage change per iteration.  Branch
-    // currents are left unscaled unless voltages needed scaling.
+    // currents (and vid, which moves the input nodes by +-dvid/2) are left
+    // unscaled unless voltages needed scaling.
     double max_dv = 0.0;
     for (std::size_t i = 0; i < nv; ++i) {
       max_dv = std::max(max_dv, std::abs(dx[i]));
@@ -80,16 +130,20 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
     double scale = 1.0;
     if (max_dv > opts.vlimit_step) scale = opts.vlimit_step / max_dv;
     for (std::size_t i = 0; i < n; ++i) (*x)[i] += scale * dx[i];
+    vid += scale * dvid;
 
-    // Converged when the (undamped) voltage update and the residual are
-    // both small.
-    if (max_dv < opts.vntol) {
-      sys.eval(*x, eval_opts, nullptr, &f, nullptr, &ws->devices);
+    // Converged when the (undamped) voltage and vid updates and the
+    // residual are all small.
+    if (max_dv < opts.vntol && std::abs(dvid) < kVidTol) {
+      eval_residual(nullptr);
       double max_node_residual = 0.0;
       for (std::size_t i = 0; i < nv; ++i) {
         max_node_residual = std::max(max_node_residual, std::abs(f[i]));
       }
-      if (max_node_residual < opts.abstol) return true;
+      if (max_node_residual < opts.abstol) {
+        if (border != nullptr) border->vid = vid;
+        return true;
+      }
     }
   }
   metrics.nonconverged.add();
@@ -99,7 +153,8 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
 }  // namespace
 
 OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
-                            const OpOptions& opts, SimWorkspace* workspace) {
+                            const OpOptions& opts, SimWorkspace* workspace,
+                            OffsetBorder* border) {
   DcMetrics& metrics = DcMetrics::get();
   metrics.op_calls.add();
   OBS_SPAN("sim/dc_operating_point");
@@ -127,7 +182,7 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
     std::vector<double> trial = x;
     int iters = 0;
     if (newton_solve(sys, 1.0, opts.gmin, opts, device_eval, ws, &trial,
-                     &iters)) {
+                     &iters, border)) {
       result.converged = true;
       result.strategy = "newton";
       result.total_iterations = iters;
@@ -138,7 +193,7 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
   }
 
   // Strategy 2: gmin stepping, from strongly shunted to the floor.
-  if (!result.converged && opts.try_gmin_stepping) {
+  if (!result.converged && border == nullptr && opts.try_gmin_stepping) {
     metrics.gmin_escalations.add();
     std::vector<double> trial(n, 0.0);
     bool ok = true;
@@ -161,7 +216,7 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
   }
 
   // Strategy 3: source stepping with adaptive increments.
-  if (!result.converged && opts.try_source_stepping) {
+  if (!result.converged && border == nullptr && opts.try_source_stepping) {
     metrics.source_escalations.add();
     std::vector<double> trial(n, 0.0);
     double scale = 0.0;

@@ -4,6 +4,10 @@
 // Newton fails to converge, gmin stepping and then source stepping are
 // attempted (the standard SPICE homotopies), each warm-starting from the
 // previous continuation point.
+//
+// An optional border turns the solve into an offset-null search: a
+// differential input `vid` joins the MNA unknowns and one extra equation
+// pins an output node to a target level (see OffsetBorder).
 #pragma once
 
 #include <optional>
@@ -55,14 +59,34 @@ struct OpResult {
   }
 };
 
+// Bordered unknown for the offset null.  The differential input `vid` is
+// applied as +vid/2 on source `vpos` and -vid/2 on source `vneg`, on top
+// of their circuit values, and is solved for together with the MNA
+// vector under one extra equation, v(out) = target.
+struct OffsetBorder {
+  std::size_t vpos = 0;  // vsource index driven by +vid/2
+  std::size_t vneg = 0;  // vsource index driven by -vid/2
+  ckt::NodeId out = ckt::kGround;
+  double target = 0.0;   // output level the border pins [V]
+  double vid = 0.0;      // start value on entry; the null when converged
+};
+
 // Computes the DC operating point.  Never throws on non-convergence; check
 // result.converged.  When `workspace` is non-null its buffers are reused
 // across every Newton strategy (and across calls, letting warm-started
 // sweeps run allocation-free in the kernel loop); results are bit-for-bit
 // identical with or without one.
+//
+// With a `border`, each Newton iteration factors J once and solves it for
+// two right-hand sides (Keller's block elimination, no bordered matrix is
+// built), and only plain Newton is tried: the homotopies solve a different
+// problem.  Convergence additionally needs the last |dvid| below 1e-9 V.
+// The solution is the operating point at source values shifted by
+// +-border->vid/2; the circuit itself is not modified.
 OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
                             const OpOptions& opts = {},
-                            SimWorkspace* workspace = nullptr);
+                            SimWorkspace* workspace = nullptr,
+                            OffsetBorder* border = nullptr);
 
 // Total power delivered by the independent sources at the operating point
 // (positive = dissipated in the circuit).

@@ -27,6 +27,7 @@ struct SimWorkspace {
   std::vector<double> residual;  // f(x)
   std::vector<double> step;      // RHS -f on entry to the solve, dx after
   num::LuFactors<double> lu;     // factorization of jac
+  std::vector<double> border;    // bordered solves: dx/dvid (J b = -df/dvid)
   // SoA device table for the batched MOS path (DeviceEval::kBatch).
   // Rebuilt by each analysis for its own circuit before solving — cheap
   // constant fills, allocation-free at steady sizes — and re-biased in

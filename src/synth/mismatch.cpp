@@ -3,9 +3,8 @@
 #include <cmath>
 
 #include "mos/design_eqs.h"
-#include "numeric/rootfind.h"
 #include "spice/dc.h"
-#include "synth/netlist_builder.h"
+#include "synth/testbench.h"
 #include "util/rng.h"
 
 namespace oasys::synth {
@@ -47,26 +46,17 @@ MismatchResult monte_carlo_offset(const OpAmpDesign& design,
   }
 
   // Shared open-loop bench; per-sample we only touch the dvt fields.
-  ckt::Circuit c;
-  const BuiltOpAmp nodes = build_opamp(design, t, c);
-  c.add_vsource("VDD", nodes.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-  c.add_vsource("VSS", nodes.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
-  const double vcm =
-      design.spec.icmr_lo != 0.0 || design.spec.icmr_hi != 0.0
-          ? 0.5 * (design.spec.icmr_lo + design.spec.icmr_hi)
-          : t.mid_supply();
-  c.add_vsource("VIP", nodes.inp, ckt::kGround, ckt::Waveform::dc(vcm));
-  c.add_vsource("VIN", nodes.inn, ckt::kGround, ckt::Waveform::dc(vcm));
-  if (design.spec.cload > 0.0) {
-    c.add_capacitor("CL", nodes.out, ckt::kGround, design.spec.cload);
+  // Every sample warm-starts its offset null from the nominal operating
+  // point at vid = 0, so no solver state crosses samples.
+  OpenLoopBench bench(design, t);
+  ckt::Circuit& c = bench.circuit;
+  std::vector<double> nominal;
+  {
+    const sim::OpResult op = sim::dc_operating_point(c, t, {});
+    if (op.converged) nominal = op.solution;
   }
-  const sim::MnaLayout layout(c);
-  const std::size_t vip = *c.find_vsource("VIP");
-  const std::size_t vin = *c.find_vsource("VIN");
-  const double mid = t.mid_supply();
 
   std::vector<double> offsets;
-  std::vector<double> warm;
   for (int sample = 0; sample < opts.samples; ++sample) {
     // Draw per-device threshold perturbations from each device's own
     // area-law sigma.  Each sample owns the counter-based stream
@@ -82,25 +72,8 @@ MismatchResult monte_carlo_offset(const OpAmpDesign& design,
           p.sigma_vt(m.geom.w * m.geom.m, m.geom.l);
       c.set_mosfet_dvt(m.name, sigma * rng.next_gauss());
     }
-
-    auto out_error = [&](double vid) {
-      c.vsource(vip).wave = ckt::Waveform::dc(vcm + 0.5 * vid);
-      c.vsource(vin).wave = ckt::Waveform::dc(vcm - 0.5 * vid);
-      sim::OpOptions o;
-      o.initial_guess = warm;
-      const sim::OpResult op = sim::dc_operating_point(c, t, o);
-      if (!op.converged) return std::nan("");
-      warm = op.solution;
-      return op.voltage(layout, nodes.out) - mid;
-    };
-    const auto bracket = num::bracket_root(out_error, -0.05, 0.05, 8);
-    if (!bracket) continue;
-    num::RootOptions ro;
-    ro.xtol = 1e-8;
-    const auto vid =
-        num::bisect(out_error, bracket->first, bracket->second, ro);
-    if (!vid) continue;
-    offsets.push_back(*vid);
+    const OffsetNull null = measure_offset(&bench, t, nominal);
+    if (null.ok) offsets.push_back(null.vid);
   }
 
   if (offsets.size() < 3) {

@@ -10,7 +10,7 @@
 //    first stage (pair directly, load mirror scaled by gm3/gm1);
 //  * a Monte-Carlo measurement: every device's threshold is perturbed by a
 //    Gaussian draw of its own sigma and the resulting input offset is
-//    found by the same output-nulling bisection the testbench uses.
+//    found by the testbench's offset-null primitive (measure_offset).
 #pragma once
 
 #include <cstdint>

@@ -16,48 +16,110 @@
 
 namespace oasys::synth {
 
-namespace {
+OpenLoopBench::OpenLoopBench(const OpAmpDesign& d,
+                             const tech::Technology& t) {
+  nodes = build_opamp(d, t, circuit);
+  circuit.add_vsource("VDD", nodes.vdd, ckt::kGround,
+                      ckt::Waveform::dc(t.vdd));
+  circuit.add_vsource("VSS", nodes.vss, ckt::kGround,
+                      ckt::Waveform::dc(t.vss));
+  vcm = d.spec.icmr_lo != 0.0 || d.spec.icmr_hi != 0.0
+            ? 0.5 * (d.spec.icmr_lo + d.spec.icmr_hi)
+            : t.mid_supply();
+  circuit.add_vsource("VIP", nodes.inp, ckt::kGround,
+                      ckt::Waveform::ac(vcm, 0.5, 0.0));
+  circuit.add_vsource("VIN", nodes.inn, ckt::kGround,
+                      ckt::Waveform::ac(vcm, 0.5, 180.0));
+  if (d.spec.cload > 0.0) {
+    circuit.add_capacitor("CL", nodes.out, ckt::kGround, d.spec.cload);
+  }
+  vip_idx = *circuit.find_vsource("VIP");
+  vin_idx = *circuit.find_vsource("VIN");
+  vdd_idx = *circuit.find_vsource("VDD");
+}
 
-// Open-loop measurement fixture: supplies, differential input sources
-// around the spec's common-mode midpoint, and the load.
-struct OpenLoopBench {
-  ckt::Circuit circuit;
-  BuiltOpAmp nodes;
-  std::size_t vip_idx = 0;
-  std::size_t vin_idx = 0;
-  std::size_t vdd_idx = 0;
-  double vcm = 0.0;
+void OpenLoopBench::set_vid(double vid) {
+  circuit.vsource(vip_idx).wave =
+      circuit.vsource(vip_idx).wave.with_dc(vcm + 0.5 * vid);
+  circuit.vsource(vin_idx).wave =
+      circuit.vsource(vin_idx).wave.with_dc(vcm - 0.5 * vid);
+}
 
-  OpenLoopBench(const OpAmpDesign& d, const tech::Technology& t) {
-    nodes = build_opamp(d, t, circuit);
-    circuit.add_vsource("VDD", nodes.vdd, ckt::kGround,
-                        ckt::Waveform::dc(t.vdd));
-    circuit.add_vsource("VSS", nodes.vss, ckt::kGround,
-                        ckt::Waveform::dc(t.vss));
-    vcm = d.spec.icmr_lo != 0.0 || d.spec.icmr_hi != 0.0
-              ? 0.5 * (d.spec.icmr_lo + d.spec.icmr_hi)
-              : t.mid_supply();
-    circuit.add_vsource("VIP", nodes.inp, ckt::kGround,
-                        ckt::Waveform::ac(vcm, 0.5, 0.0));
-    circuit.add_vsource("VIN", nodes.inn, ckt::kGround,
-                        ckt::Waveform::ac(vcm, 0.5, 180.0));
-    if (d.spec.cload > 0.0) {
-      circuit.add_capacitor("CL", nodes.out, ckt::kGround, d.spec.cload);
+OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
+                          const std::vector<double>& warm,
+                          sim::SimWorkspace* ws) {
+  static obs::Counter& nulls =
+      obs::Registry::global().counter("sim.offset.nulls");
+  static obs::Counter& fallbacks =
+      obs::Registry::global().counter("sim.offset.fallbacks");
+  nulls.add();
+  OBS_SPAN("sim/offset_null");
+  const double mid = t.mid_supply();
+  OffsetNull null;
+
+  bench->set_vid(0.0);
+  sim::OpOptions start;
+  start.initial_guess = warm;
+  if (warm.empty()) {
+    const sim::OpResult op =
+        sim::dc_operating_point(bench->circuit, t, start, ws);
+    if (op.converged) start.initial_guess = op.solution;
+  }
+  if (!start.initial_guess.empty()) {
+    sim::OffsetBorder border;
+    border.vpos = bench->vip_idx;
+    border.vneg = bench->vin_idx;
+    border.out = bench->nodes.out;
+    border.target = mid;
+    null.op = sim::dc_operating_point(bench->circuit, t, start, ws, &border);
+    if (null.op.converged) {
+      bench->set_vid(border.vid);
+      null.vid = border.vid;
+      null.ok = true;
+      return null;
     }
-    vip_idx = *circuit.find_vsource("VIP");
-    vin_idx = *circuit.find_vsource("VIN");
-    vdd_idx = *circuit.find_vsource("VDD");
   }
 
-  void set_vid(double vid) {
-    circuit.vsource(vip_idx).wave =
-        circuit.vsource(vip_idx).wave.with_dc(vcm + 0.5 * vid);
-    circuit.vsource(vin_idx).wave =
-        circuit.vsource(vin_idx).wave.with_dc(vcm - 0.5 * vid);
+  // Fallback: bracket the null and bisect it, each probe a DC solve
+  // warm-started from the previous one.
+  fallbacks.add();
+  const sim::MnaLayout layout(bench->circuit);
+  std::vector<double> probe_warm = start.initial_guess;
+  auto solve_at = [&](double vid) {
+    bench->set_vid(vid);
+    sim::OpOptions o;
+    o.initial_guess = probe_warm;
+    sim::OpResult op = sim::dc_operating_point(bench->circuit, t, o, ws);
+    if (op.converged) probe_warm = op.solution;
+    return op;
+  };
+  auto out_error = [&](double vid) {
+    const sim::OpResult op = solve_at(vid);
+    if (!op.converged) return std::nan("");
+    return op.voltage(layout, bench->nodes.out) - mid;
+  };
+  const auto bracket = num::bracket_root(out_error, -0.05, 0.05, 8);
+  if (!bracket) {
+    null.error = "could not bracket the output null (offset search)";
+    return null;
   }
-};
-
-}  // namespace
+  num::RootOptions root_opts;
+  root_opts.xtol = 1e-9;
+  const auto vid =
+      num::bisect(out_error, bracket->first, bracket->second, root_opts);
+  if (!vid) {
+    null.error = "offset bisection failed";
+    return null;
+  }
+  null.op = solve_at(*vid);
+  if (!null.op.converged) {
+    null.error = "operating point at the offset null did not converge";
+    return null;
+  }
+  null.vid = *vid;
+  null.ok = true;
+  return null;
+}
 
 MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
                             const tech::Technology& t,
@@ -71,43 +133,15 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
   sim::MnaLayout layout(bench.circuit);
   const double mid = t.mid_supply();
 
-  // --- systematic offset: null the output by bisection on vid -------------
-  sim::OpOptions op_opts;
-  std::vector<double> warm;
-  auto out_error = [&](double vid) {
-    bench.set_vid(vid);
-    sim::OpOptions o = op_opts;
-    o.initial_guess = warm;
-    const sim::OpResult op = sim::dc_operating_point(bench.circuit, t, o);
-    if (!op.converged) return std::nan("");
-    warm = op.solution;
-    return op.voltage(layout, bench.nodes.out) - mid;
-  };
-  const auto bracket = num::bracket_root(out_error, -0.05, 0.05, 8);
-  if (!bracket) {
-    m.error = "could not bracket the output null (offset search)";
+  // --- systematic offset and the operating point at the null ---------------
+  const OffsetNull null = measure_offset(&bench, t);
+  if (!null.ok) {
+    m.error = null.error;
     return m;
   }
-  num::RootOptions root_opts;
-  root_opts.xtol = 1e-9;
-  const auto vid_null =
-      num::bisect(out_error, bracket->first, bracket->second, root_opts);
-  if (!vid_null) {
-    m.error = "offset bisection failed";
-    return m;
-  }
-  m.offset_applied = *vid_null;
-  m.perf.offset = std::abs(*vid_null);
-
-  // --- operating point at the null ------------------------------------------
-  bench.set_vid(*vid_null);
-  sim::OpOptions null_opts = op_opts;
-  null_opts.initial_guess = warm;
-  const sim::OpResult op = sim::dc_operating_point(bench.circuit, t, null_opts);
-  if (!op.converged) {
-    m.error = "operating point at the offset null did not converge";
-    return m;
-  }
+  const sim::OpResult& op = null.op;
+  m.offset_applied = null.vid;
+  m.perf.offset = std::abs(null.vid);
   m.perf.power = sim::supply_power(bench.circuit, layout, op);
   for (std::size_t k = 0; k < bench.circuit.mosfets().size(); ++k) {
     if (op.devices[k].region != mos::Region::kSaturation) {
@@ -198,11 +232,11 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
 
   // --- output swing: large differential overdrive --------------------------------
   {
-    sim::OpOptions o = op_opts;
+    sim::OpOptions o;
     o.initial_guess = op.solution;
-    bench.set_vid(*vid_null + opts.swing_overdrive);
+    bench.set_vid(null.vid + opts.swing_overdrive);
     const sim::OpResult hi = sim::dc_operating_point(bench.circuit, t, o);
-    bench.set_vid(*vid_null - opts.swing_overdrive);
+    bench.set_vid(null.vid - opts.swing_overdrive);
     const sim::OpResult lo = sim::dc_operating_point(bench.circuit, t, o);
     if (hi.converged) {
       m.perf.swing_pos = hi.voltage(layout, bench.nodes.out) - mid;
@@ -210,7 +244,7 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
     if (lo.converged) {
       m.perf.swing_neg = mid - lo.voltage(layout, bench.nodes.out);
     }
-    bench.set_vid(*vid_null);
+    bench.set_vid(null.vid);
   }
 
   // --- follower fixture for slew and ICMR ------------------------------------

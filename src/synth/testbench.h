@@ -4,8 +4,8 @@
 // right-hand columns, Figure 6).
 //
 // Measurements performed:
-//  * systematic input offset — bisection on the differential input until
-//    the output sits at mid-supply (open loop, DC);
+//  * systematic input offset — the differential input that puts the
+//    output at mid-supply (open loop, DC; see measure_offset);
 //  * open-loop AC response at the offset-nulled bias — DC gain, unity-gain
 //    frequency (GBW), phase margin, -3 dB bandwidth, full Bode series;
 //  * CMRR and PSRR — common-mode and supply-injection AC runs;
@@ -20,8 +20,10 @@
 #include <vector>
 
 #include "core/spec.h"
+#include "spice/dc.h"
 #include "spice/measure.h"
 #include "spice/noise.h"
+#include "spice/workspace.h"
 #include "synth/netlist_builder.h"
 #include "synth/opamp_design.h"
 #include "tech/builtin.h"
@@ -59,6 +61,46 @@ struct MeasuredOpAmp {
   // diodes are expected to saturate; anything here deserves a look).
   std::vector<std::string> non_saturated;
 };
+
+// Open-loop measurement fixture, shared by verification, mismatch and
+// yield: supplies, differential input sources VIP/VIN around the spec's
+// common-mode midpoint (AC +-0.5 each, for the differential sweep), and
+// the spec load.
+struct OpenLoopBench {
+  ckt::Circuit circuit;
+  BuiltOpAmp nodes;
+  std::size_t vip_idx = 0;
+  std::size_t vin_idx = 0;
+  std::size_t vdd_idx = 0;
+  double vcm = 0.0;
+
+  OpenLoopBench() = default;  // hand-built fixtures fill the fields
+  OpenLoopBench(const OpAmpDesign& d, const tech::Technology& t);
+
+  // Drives VIP/VIN to vcm +- vid/2.
+  void set_vid(double vid);
+};
+
+// Input-offset null of an open-loop bench.
+struct OffsetNull {
+  bool ok = false;
+  std::string error;
+  double vid = 0.0;  // differential input that centres the output [V]
+  sim::OpResult op;  // converged operating point at the null
+};
+
+// Finds the differential input that puts the bench output at mid-supply,
+// with one bordered Newton solve (sim::OffsetBorder) from `warm`, a
+// solution of the bench at vid = 0.  With no `warm`, an ordinary
+// dc_operating_point at vid = 0 (with its homotopies) supplies the start.
+// When the bordered solve fails — a singular factor, an output that does
+// not respond to vid, or the iteration cap — the null is bracketed and
+// bisected to 1e-9 V instead, one warm DC solve per probe.  Leaves the
+// bench driven at the null.  Counts every call in sim.offset.nulls and
+// every fallback in sim.offset.fallbacks.
+OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
+                          const std::vector<double>& warm = {},
+                          sim::SimWorkspace* ws = nullptr);
 
 MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
                             const tech::Technology& t,

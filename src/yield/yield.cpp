@@ -6,15 +6,14 @@
 
 #include "exec/executor.h"
 #include "numeric/interpolate.h"
-#include "numeric/rootfind.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "spice/ac.h"
 #include "spice/dc.h"
 #include "spice/measure.h"
 #include "spice/workspace.h"
-#include "synth/netlist_builder.h"
 #include "synth/result_json.h"
+#include "synth/testbench.h"
 #include "util/fingerprint.h"
 #include "util/rng.h"
 #include "util/text.h"
@@ -127,45 +126,26 @@ YieldResult analyze_yield(const tech::Technology& t,
   const synth::OpAmpDesign& design = *best;
 
   // Shared open-loop bench, built once; samples copy it and only touch
-  // the per-device dvt fields.  Same fixture as the nominal verification
-  // and monte_carlo_offset: supplies, differential inputs at the spec's
-  // common-mode midpoint, the spec load.
-  ckt::Circuit base;
-  const synth::BuiltOpAmp nodes = synth::build_opamp(design, t, base);
-  base.add_vsource("VDD", nodes.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-  base.add_vsource("VSS", nodes.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
-  const double vcm =
-      design.spec.icmr_lo != 0.0 || design.spec.icmr_hi != 0.0
-          ? 0.5 * (design.spec.icmr_lo + design.spec.icmr_hi)
-          : t.mid_supply();
-  base.add_vsource("VIP", nodes.inp, ckt::kGround,
-                   ckt::Waveform::ac(vcm, 0.5, 0.0));
-  base.add_vsource("VIN", nodes.inn, ckt::kGround,
-                   ckt::Waveform::ac(vcm, 0.5, 180.0));
-  if (design.spec.cload > 0.0) {
-    base.add_capacitor("CL", nodes.out, ckt::kGround, design.spec.cload);
-  }
-  const sim::MnaLayout layout(base);
-  const std::size_t vip = *base.find_vsource("VIP");
-  const std::size_t vin = *base.find_vsource("VIN");
-  const double mid = t.mid_supply();
+  // the per-device dvt fields.  Same fixture as the nominal verification.
+  const synth::OpenLoopBench base(design, t);
+  const sim::MnaLayout layout(base.circuit);
 
   // Per-device sigma(VT) from the area law, in mosfets() order — the draw
   // order every sample replays.
   std::vector<double> sigma_vt;
-  sigma_vt.reserve(base.mosfets().size());
-  for (const auto& m : base.mosfets()) {
+  sigma_vt.reserve(base.circuit.mosfets().size());
+  for (const auto& m : base.circuit.mosfets()) {
     const tech::MosParams& p =
         m.type == mos::MosType::kNmos ? t.nmos : t.pmos;
     sigma_vt.push_back(p.sigma_vt(m.geom.w * m.geom.m, m.geom.l));
   }
 
   // Nominal operating point, computed once before the fan-out: every
-  // sample warm-starts its offset search from these bytes, so there is no
+  // sample warm-starts its offset null from these bytes, so there is no
   // cross-sample solver state and no partitioning dependence.
   std::vector<double> nominal;
   {
-    const sim::OpResult op = sim::dc_operating_point(base, t, {});
+    const sim::OpResult op = sim::dc_operating_point(base.circuit, t, {});
     if (op.converged) nominal = op.solution;
   }
 
@@ -188,7 +168,8 @@ YieldResult analyze_yield(const tech::Technology& t,
   exec::parallel_for_lanes(
       n,
       [&](std::size_t i, std::size_t lane) {
-        ckt::Circuit c = base;
+        synth::OpenLoopBench bench = base;
+        ckt::Circuit& c = bench.circuit;
         util::RngStream rng(params.seed, i);
         for (std::size_t k = 0; k < c.mosfets().size(); ++k) {
           c.set_mosfet_dvt(c.mosfets()[k].name,
@@ -196,38 +177,16 @@ YieldResult analyze_yield(const tech::Technology& t,
         }
 
         Sample& s = samples[i];
-        sim::SimWorkspace& ws = scratch[lane];
-        std::vector<double> warm = nominal;
-        auto out_error = [&](double vid) {
-          c.vsource(vip).wave = c.vsource(vip).wave.with_dc(vcm + 0.5 * vid);
-          c.vsource(vin).wave = c.vsource(vin).wave.with_dc(vcm - 0.5 * vid);
-          sim::OpOptions o;
-          o.initial_guess = warm;
-          const sim::OpResult op = sim::dc_operating_point(c, t, o, &ws);
-          if (!op.converged) return std::nan("");
-          warm = op.solution;
-          return op.voltage(layout, nodes.out) - mid;
-        };
-        const auto bracket = num::bracket_root(out_error, -0.05, 0.05, 8);
-        if (!bracket) return;
-        num::RootOptions ro;
-        ro.xtol = 1e-9;
-        const auto vid =
-            num::bisect(out_error, bracket->first, bracket->second, ro);
-        if (!vid) return;
-        s.offset = std::abs(*vid);
-
-        c.vsource(vip).wave = c.vsource(vip).wave.with_dc(vcm + 0.5 * *vid);
-        c.vsource(vin).wave = c.vsource(vin).wave.with_dc(vcm - 0.5 * *vid);
-        sim::OpOptions o;
-        o.initial_guess = warm;
-        const sim::OpResult op = sim::dc_operating_point(c, t, o, &ws);
-        if (!op.converged) return;
+        const synth::OffsetNull null =
+            synth::measure_offset(&bench, t, nominal, &scratch[lane]);
+        if (!null.ok) return;
+        s.offset = std::abs(null.vid);
 
         // Serial AC inside the sample: the fan-out is across samples.
-        const sim::AcResult ac = sim::ac_analysis(c, t, op, freqs, 1);
+        const sim::AcResult ac = sim::ac_analysis(c, t, null.op, freqs, 1);
         if (!ac.ok) return;
-        const sim::BodeSeries bode = sim::bode_of_node(ac, layout, nodes.out);
+        const sim::BodeSeries bode =
+            sim::bode_of_node(ac, layout, bench.nodes.out);
         const sim::LoopMetrics lm = sim::loop_metrics(bode);
         s.gain_db = lm.dc_gain_db;
         s.gbw = lm.unity_gain_freq.value_or(0.0);

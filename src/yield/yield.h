@@ -5,8 +5,9 @@
 // flows must also report *yield*: the fraction of fabricated instances
 // that still meet the spec under random device mismatch.  This module
 // draws N mismatch samples, re-measures each perturbed instance through
-// the same open-loop bench the nominal verification uses (offset null by
-// bisection, DC at the null, AC sweep, loop metrics), and reduces to
+// the same open-loop bench the nominal verification uses (offset null and
+// the DC operating point there from one bordered Newton solve, AC sweep,
+// loop metrics), and reduces to
 // yield / sigma / percentile statistics per spec metric.
 //
 // Determinism contract (the whole point of the design):

@@ -5,7 +5,9 @@
 // allocations: the first pass grows the workspace buffers, after which the
 // Newton iteration and the per-frequency AC solve must be steady-state
 // allocation-free.  Everything inside a counted region is plain arithmetic
-// on preallocated storage — no gtest assertions, no string building.
+// on preallocated storage — no gtest assertions, no string building —
+// except the bordered-solve check, which compares whole warm
+// dc_operating_point calls that differ only in their iteration count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -220,6 +222,77 @@ TEST(AllocFree, BatchedDeviceEvalNewtonLoopIsAllocationFreeWhenWarm) {
   ASSERT_TRUE(converged);
   EXPECT_EQ(allocs, 0u)
       << "warm batched-device-eval Newton loop performed heap allocations";
+}
+
+// A resistor-loaded NMOS differential pair: the smallest fixture with the
+// two input sources an offset border drives.
+Circuit diff_pair_circuit(const tech::Technology& t) {
+  Circuit c;
+  const auto vdd = c.node("vdd");
+  const auto inp = c.node("inp");
+  const auto inn = c.node("inn");
+  const auto d1 = c.node("d1");
+  const auto out = c.node("out");
+  const auto tail = c.node("tail");
+  c.add_vsource("VDD", vdd, ckt::kGround, Waveform::dc(t.vdd));
+  c.add_vsource("VIP", inp, ckt::kGround, Waveform::dc(2.5));
+  c.add_vsource("VIN", inn, ckt::kGround, Waveform::dc(2.5));
+  c.add_mosfet("M1", d1, inp, tail, ckt::kGround, mos::MosType::kNmos,
+               um(50.0), um(5.0));
+  c.add_mosfet("M2", out, inn, tail, ckt::kGround, mos::MosType::kNmos,
+               um(50.0), um(5.0));
+  c.add_resistor("R1", vdd, d1, 50e3);
+  c.add_resistor("R2", vdd, out, 50e3);
+  c.add_resistor("RT", tail, ckt::kGround, 100e3);
+  return c;
+}
+
+TEST(AllocFree, BorderedNewtonIterationIsAllocationFreeWhenWarm) {
+  // The bordered solve runs inside dc_operating_point, whose per-call
+  // set-up allocates (the result vectors).  The iteration itself must
+  // not: a warm solve that needs many iterations allocates exactly as
+  // often as one that needs few.
+  const tech::Technology t = tech::five_micron();
+  const Circuit c = diff_pair_circuit(t);
+  const MnaLayout layout(c);
+  const ckt::NodeId out = *c.find_node("out");
+  SimWorkspace ws;
+  const OpResult op0 = dc_operating_point(c, t, {}, &ws);
+  ASSERT_TRUE(op0.converged);
+
+  OffsetBorder border;
+  border.vpos = *c.find_vsource("VIP");
+  border.vneg = *c.find_vsource("VIN");
+  border.out = out;
+  border.target = op0.voltage(layout, out) - 0.3;
+
+  OpOptions far;  // from the vid = 0 operating point
+  far.initial_guess = op0.solution;
+  OffsetBorder far_border = border;
+  OpResult far_result = dc_operating_point(c, t, far, &ws, &far_border);
+  ASSERT_TRUE(far_result.converged);
+  OpOptions near;  // from the null itself
+  near.initial_guess = far_result.solution;
+  OffsetBorder near_border = far_border;
+  OpResult near_result = dc_operating_point(c, t, near, &ws, &near_border);
+  ASSERT_TRUE(near_result.converged);
+  ASSERT_GT(far_result.total_iterations, near_result.total_iterations + 1);
+
+  const std::size_t far_allocs = count_allocations([&] {
+    far_border = border;
+    far_result = dc_operating_point(c, t, far, &ws, &far_border);
+  });
+  const std::size_t near_allocs = count_allocations([&] {
+    near_border = border;
+    near_border.vid = far_border.vid;
+    near_result = dc_operating_point(c, t, near, &ws, &near_border);
+  });
+  ASSERT_TRUE(far_result.converged);
+  ASSERT_TRUE(near_result.converged);
+  EXPECT_EQ(far_allocs, near_allocs)
+      << far_result.total_iterations << " vs "
+      << near_result.total_iterations
+      << " bordered iterations allocated differently";
 }
 
 TEST(AllocFree, AcSweepKernelLoopIsAllocationFreeWhenWarm) {

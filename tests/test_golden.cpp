@@ -30,9 +30,12 @@
 namespace oasys {
 namespace {
 
+// The stems are held inline, not as pointers: gtest prints an unprintable
+// parameter's raw bytes into the listed test name, and pointer bytes change
+// with every address-space layout, so the names would differ run to run.
 struct GoldenCase {
-  const char* tech;  // stem under tech/
-  const char* spec;  // stem under specs/
+  char tech[8];  // stem under tech/
+  char spec[8];  // stem under specs/
 };
 
 std::string source_path(const std::string& rel) {

@@ -199,10 +199,14 @@ TEST(ServeConformance, ByteIdenticalAcrossWorkerCountsAndRequests) {
     // The same counters ride along in the merged kMetrics frame.
     const obs::MetricEntry* batches =
         find_counter(last.metrics, "serve.batches");
-    if (batches != nullptr) EXPECT_EQ(batches->counter, 3u);
+    if (batches != nullptr) {
+      EXPECT_EQ(batches->counter, 3u);
+    }
     const obs::MetricEntry* hits =
         find_counter(last.metrics, "serve.shared_cache.hits");
-    if (hits != nullptr) EXPECT_EQ(hits->counter, 2 * specs.size());
+    if (hits != nullptr) {
+      EXPECT_EQ(hits->counter, 2 * specs.size());
+    }
 
     EXPECT_EQ(daemon.stop(), 0) << "workers=" << workers;
   }
@@ -235,7 +239,9 @@ TEST(ServeConformance, SecondIdenticalBatchIsServedFromTheSharedTier) {
   EXPECT_EQ(st.shared_cache_misses, specs.size());
   const obs::MetricEntry* hits =
       find_counter(second.metrics, "serve.shared_cache.hits");
-  if (hits != nullptr) EXPECT_EQ(hits->counter, specs.size());
+  if (hits != nullptr) {
+    EXPECT_EQ(hits->counter, specs.size());
+  }
   EXPECT_EQ(daemon.stop(), 0);
 }
 
@@ -462,7 +468,9 @@ TEST(ServeFaults, WedgedWorkerIsKilledAtTheDeadlineNotWaitedOn) {
   EXPECT_EQ(st.worker_timeouts, 1u);
   const obs::MetricEntry* timeouts =
       find_counter(report.metrics, "serve.worker_timeouts");
-  if (timeouts != nullptr) EXPECT_EQ(timeouts->counter, 1u);
+  if (timeouts != nullptr) {
+    EXPECT_EQ(timeouts->counter, 1u);
+  }
   // Stopping with the replacement spawn still pending must drain, not
   // hang on a worker that no longer exists.
   EXPECT_EQ(daemon.stop(), 0);

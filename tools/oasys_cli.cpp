@@ -99,8 +99,8 @@ int usage() {
       "  --tech FILE     technology file (default: built-in 5 um CMOS)\n"
       "  --verify        run the circuit-simulator measurement suite\n"
       "  --export FILE   write the synthesized design as a SPICE deck\n"
-      "  --trace         print the full plan-execution narrative and the\n"
-      "                  span timeline\n"
+      "  --trace         print the full plan-execution narrative and, last,\n"
+      "                  the span timeline (synthesis and verification)\n"
       "  --metrics-json F  write the process metrics registry as JSON to F\n"
       "  --no-rules      disable plan-patching rules (ablation)\n"
       "  --jobs N        worker threads for synthesis + simulation\n"
@@ -1838,8 +1838,6 @@ int main(int argc, char** argv) {
 
   if (trace) {
     std::fputs(synth::synthesis_report(result).c_str(), stdout);
-    std::puts("\nspan timeline:");
-    std::fputs(obs::trace_text(obs::drain_global_trace()).c_str(), stdout);
   } else {
     std::fputs(sr.spec.to_string().c_str(), stdout);
     std::puts("style selection:");
@@ -1849,9 +1847,14 @@ int main(int argc, char** argv) {
       std::fputs(synth::device_table(*result.best()).c_str(), stdout);
     }
   }
-  // Every post-synthesis exit writes the metrics registry (a failed run's
+  // Every post-synthesis exit prints the span timeline last, so it covers
+  // verification too, and writes the metrics registry (a failed run's
   // counters are exactly what a failure investigation wants to see).
   auto done = [&](int code) {
+    if (trace) {
+      std::puts("\nspan timeline:");
+      std::fputs(obs::trace_text(obs::drain_global_trace()).c_str(), stdout);
+    }
     if (!write_metrics(metrics_path)) return 1;
     return code;
   };
