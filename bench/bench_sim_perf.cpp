@@ -7,13 +7,12 @@
 //  * --json <path> — the perf-trajectory record: measures the pre-workspace
 //    baseline kernels (by-value LU, per-iteration heap allocation, exactly
 //    the code shape this repo shipped before workspace reuse) against the
-//    production workspace-reusing paths in the same binary, plus paired
-//    scalar-vs-batch device-eval timings (DC Newton, transient, and the AC
-//    sweep at 1/2/4 lanes) in the CASPI SIMD-vs-scalar bench style.
-//    Self-checks that every pairing produces bit-for-bit identical numbers
-//    (also across --jobs 1/2/4) and writes the JSON record.  Exit is
-//    non-zero only when an equivalence/determinism self-check fails;
-//    timings are informational.
+//    production workspace-reusing paths in the same binary, and fixed vs
+//    adaptive transient stepping.  Self-checks that every baseline/
+//    production pairing produces bit-for-bit identical numbers (the AC
+//    sweep also across --jobs 1/2/4), that repeated runs are identical,
+//    and writes the JSON record.  Exit is non-zero only when an
+//    equivalence/determinism self-check fails; timings are informational.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -28,7 +27,6 @@
 #include "spice/dc.h"
 #include "spice/measure.h"
 #include "spice/small_signal.h"
-#include "spice/sweep.h"
 #include "spice/tran.h"
 #include "synth/netlist_builder.h"
 #include "synth/oasys.h"
@@ -91,34 +89,6 @@ void BM_OperatingPointWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_OperatingPointWarm);
 
-// Paired device-eval loops (CASPI style): identical warm solve, only the
-// MOS evaluation path differs.  Results are bit-for-bit identical.
-void BM_OperatingPointWarmScalarEval(benchmark::State& state) {
-  Fixture& f = fixture();
-  sim::OpOptions opts;
-  opts.initial_guess = f.op.solution;
-  opts.device_eval = sim::DeviceEval::kScalar;
-  sim::SimWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::dc_operating_point(f.circuit, f.t, opts, &ws));
-  }
-}
-BENCHMARK(BM_OperatingPointWarmScalarEval);
-
-void BM_OperatingPointWarmBatchEval(benchmark::State& state) {
-  Fixture& f = fixture();
-  sim::OpOptions opts;
-  opts.initial_guess = f.op.solution;
-  opts.device_eval = sim::DeviceEval::kBatch;
-  sim::SimWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::dc_operating_point(f.circuit, f.t, opts, &ws));
-  }
-}
-BENCHMARK(BM_OperatingPointWarmBatchEval);
-
 void BM_AcSweep61Points(benchmark::State& state) {
   Fixture& f = fixture();
   const auto freqs = num::logspace(1.0, 1e8, 61);
@@ -145,11 +115,13 @@ using Cplx = std::complex<double>;
 
 // The pre-workspace Newton solve, reproduced exactly as the seed shipped
 // it: Jacobian and residual allocated per call, by-value LU (one matrix
-// copy), and fresh RHS + step vectors per iteration.  Performs the same
+// copy), and fresh RHS + step vectors per iteration.  The device table is
+// built once per solve, as the production path does.  Performs the same
 // arithmetic as the production path, so its solution must match
 // sim::dc_operating_point bit for bit.
 bool baseline_newton(const sim::NonlinearSystem& sys,
-                     const sim::OpOptions& opts, std::vector<double>* x) {
+                     const sim::OpOptions& opts, sim::DeviceTable* devices,
+                     std::vector<double>* x) {
   const std::size_t n = sys.layout().size();
   const std::size_t nv = sys.layout().num_node_unknowns();
   num::RealMatrix jac(n, n);
@@ -157,7 +129,7 @@ bool baseline_newton(const sim::NonlinearSystem& sys,
   sim::NonlinearSystem::EvalOptions eval_opts;
   eval_opts.gmin = opts.gmin;
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
-    sys.eval(*x, eval_opts, &jac, &f);
+    sys.eval(*x, eval_opts, &jac, &f, nullptr, devices);
     auto lu = num::lu_factor(jac);
     if (lu.singular) return false;
     std::vector<double> rhs(n);
@@ -171,7 +143,7 @@ bool baseline_newton(const sim::NonlinearSystem& sys,
     if (max_dv > opts.vlimit_step) scale = opts.vlimit_step / max_dv;
     for (std::size_t i = 0; i < n; ++i) (*x)[i] += scale * dx[i];
     if (max_dv < opts.vntol) {
-      sys.eval(*x, eval_opts, nullptr, &f);
+      sys.eval(*x, eval_opts, nullptr, &f, nullptr, devices);
       double max_node_residual = 0.0;
       for (std::size_t i = 0; i < nv; ++i) {
         max_node_residual = std::max(max_node_residual, std::abs(f[i]));
@@ -194,14 +166,17 @@ sim::OpResult baseline_dc(const ckt::Circuit& c, const tech::Technology& t,
   std::vector<double> x = opts.initial_guess.size() == n
                               ? opts.initial_guess
                               : std::vector<double>(n, 0.0);
+  sim::DeviceTable devices;
+  sys.build_device_table(&devices);
   std::vector<double> trial = x;
-  if (baseline_newton(sys, opts, &trial)) {
+  if (baseline_newton(sys, opts, &devices, &trial)) {
     result.converged = true;
     result.strategy = "newton";
     result.solution = std::move(trial);
     sim::NonlinearSystem::EvalOptions eval_opts;
     eval_opts.gmin = opts.gmin;
-    sys.eval(result.solution, eval_opts, nullptr, nullptr, &result.devices);
+    sys.eval(result.solution, eval_opts, nullptr, nullptr, &result.devices,
+             &devices);
   } else {
     result.solution = std::move(x);
   }
@@ -329,130 +304,6 @@ int emit_json(const char* path) {
     sim::TranResult r = sim::transient(f.circuit, f.t, f.op, to);
     benchmark::DoNotOptimize(r);
   });
-
-  // ---- Device eval: scalar reference vs SoA batch kernel ------------------
-  // Same solves, same inputs, separate workspaces (each keeps its own
-  // device table); every pairing must agree bit for bit.
-  auto device_ops_equal = [](const std::vector<sim::DeviceOp>& a,
-                             const std::vector<sim::DeviceOp>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const sim::DeviceOp& p = a[i];
-      const sim::DeviceOp& q = b[i];
-      if (p.region != q.region || p.vgs != q.vgs || p.vds != q.vds ||
-          p.vbs != q.vbs || p.id != q.id || p.vth != q.vth ||
-          p.vov != q.vov || p.vdsat != q.vdsat || p.gm != q.gm ||
-          p.gds != q.gds || p.gmb != q.gmb || p.id_ds != q.id_ds ||
-          p.di_dvg != q.di_dvg || p.di_dvd != q.di_dvd ||
-          p.di_dvs != q.di_dvs || p.di_dvb != q.di_dvb || p.cgs != q.cgs ||
-          p.cgd != q.cgd || p.cgb != q.cgb || p.cdb != q.cdb ||
-          p.csb != q.csb) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  sim::OpOptions warm_scalar = warm;
-  warm_scalar.device_eval = sim::DeviceEval::kScalar;
-  sim::OpOptions warm_batch = warm;
-  warm_batch.device_eval = sim::DeviceEval::kBatch;
-  sim::SimWorkspace ws_scalar;
-  sim::SimWorkspace ws_batch;
-
-  const sim::OpResult de_dc_scalar =
-      sim::dc_operating_point(f.circuit, f.t, warm_scalar, &ws_scalar);
-  const sim::OpResult de_dc_batch =
-      sim::dc_operating_point(f.circuit, f.t, warm_batch, &ws_batch);
-  bool de_equal =
-      de_dc_scalar.converged && de_dc_batch.converged &&
-      de_dc_scalar.strategy == de_dc_batch.strategy &&
-      de_dc_scalar.total_iterations == de_dc_batch.total_iterations &&
-      de_dc_scalar.solution == de_dc_batch.solution &&
-      device_ops_equal(de_dc_scalar.devices, de_dc_batch.devices);
-
-  const double de_dc_scalar_s = oasys::bench::time_best_of(7, [&] {
-    for (int i = 0; i < dc_solves; ++i) {
-      sim::OpResult r =
-          sim::dc_operating_point(f.circuit, f.t, warm_scalar, &ws_scalar);
-      benchmark::DoNotOptimize(r);
-    }
-  });
-  const double de_dc_batch_s = oasys::bench::time_best_of(7, [&] {
-    for (int i = 0; i < dc_solves; ++i) {
-      sim::OpResult r =
-          sim::dc_operating_point(f.circuit, f.t, warm_batch, &ws_batch);
-      benchmark::DoNotOptimize(r);
-    }
-  });
-
-  sim::TranOptions to_scalar = to;
-  to_scalar.device_eval = sim::DeviceEval::kScalar;
-  sim::TranOptions to_batch = to;
-  to_batch.device_eval = sim::DeviceEval::kBatch;
-  const sim::TranResult de_tr_scalar =
-      sim::transient(f.circuit, f.t, f.op, to_scalar);
-  const sim::TranResult de_tr_batch =
-      sim::transient(f.circuit, f.t, f.op, to_batch);
-  de_equal &= de_tr_scalar.ok && de_tr_batch.ok &&
-              de_tr_scalar.states == de_tr_batch.states;
-  const double de_tran_scalar_s = oasys::bench::time_best_of(3, [&] {
-    sim::TranResult r = sim::transient(f.circuit, f.t, f.op, to_scalar);
-    benchmark::DoNotOptimize(r);
-  });
-  const double de_tran_batch_s = oasys::bench::time_best_of(3, [&] {
-    sim::TranResult r = sim::transient(f.circuit, f.t, f.op, to_batch);
-    benchmark::DoNotOptimize(r);
-  });
-
-  // AC sweep over the input common-mode at 1/2/4 lanes: each lane runs
-  // cold DC + 61-point AC per value, so both the Newton loop and the
-  // lane-parallel fan-out exercise the selected device-eval path.
-  const std::vector<double> sweep_vals = {-0.01, 0.0, 0.01, 0.02};
-  sim::OpOptions sweep_scalar;
-  sweep_scalar.device_eval = sim::DeviceEval::kScalar;
-  sim::OpOptions sweep_batch;
-  sweep_batch.device_eval = sim::DeviceEval::kBatch;
-  auto sweep_equal = [](const sim::AcSweepResult& a,
-                        const sim::AcSweepResult& b) {
-    if (!a.ok || !b.ok || a.ops.size() != b.ops.size()) return false;
-    for (std::size_t i = 0; i < a.ops.size(); ++i) {
-      if (a.ops[i].solution != b.ops[i].solution) return false;
-      if (a.points[i].solutions != b.points[i].solutions) return false;
-    }
-    return true;
-  };
-  const sim::AcSweepResult de_sweep_ref = sim::ac_sweep_vsource(
-      f.circuit, f.t, "VIP", sweep_vals, freqs, sweep_scalar, 1);
-  struct LanePair {
-    std::size_t jobs = 0;
-    double scalar_s = 0.0;
-    double batch_s = 0.0;
-  };
-  std::vector<LanePair> lane_pairs;
-  for (const std::size_t jobs :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const sim::AcSweepResult rs = sim::ac_sweep_vsource(
-        f.circuit, f.t, "VIP", sweep_vals, freqs, sweep_scalar, jobs);
-    const sim::AcSweepResult rb = sim::ac_sweep_vsource(
-        f.circuit, f.t, "VIP", sweep_vals, freqs, sweep_batch, jobs);
-    de_equal &= sweep_equal(rs, de_sweep_ref) &&
-                sweep_equal(rb, de_sweep_ref);
-    LanePair pair;
-    pair.jobs = jobs;
-    pair.scalar_s = oasys::bench::time_best_of(5, [&] {
-      sim::AcSweepResult r = sim::ac_sweep_vsource(
-          f.circuit, f.t, "VIP", sweep_vals, freqs, sweep_scalar, jobs);
-      benchmark::DoNotOptimize(r);
-    });
-    pair.batch_s = oasys::bench::time_best_of(5, [&] {
-      sim::AcSweepResult r = sim::ac_sweep_vsource(
-          f.circuit, f.t, "VIP", sweep_vals, freqs, sweep_batch, jobs);
-      benchmark::DoNotOptimize(r);
-    });
-    lane_pairs.push_back(pair);
-  }
-  deterministic &= de_equal;
 
   // ---- Adaptive transient: fixed reference vs embedded-error stepping -----
   // Stiff comparator-style slew fixture: a long flat region (the
@@ -586,30 +437,6 @@ int emit_json(const char* path) {
                " \"transient\": {\"steps\": %zu, \"seconds\": %.6f},\n",
                tr1.time.size() - 1, tran_s);
   std::fprintf(out,
-               " \"device_eval\": {\"equivalence\": \"bitwise\", "
-               "\"bitwise_equal\": %s,\n",
-               de_equal ? "true" : "false");
-  std::fprintf(out,
-               "  \"dc\": {\"solves\": %d, \"scalar_seconds\": %.6f, "
-               "\"batch_seconds\": %.6f, \"speedup\": %.3f},\n",
-               dc_solves, de_dc_scalar_s, de_dc_batch_s,
-               de_dc_scalar_s / de_dc_batch_s);
-  std::fprintf(out,
-               "  \"transient\": {\"scalar_seconds\": %.6f, "
-               "\"batch_seconds\": %.6f, \"speedup\": %.3f},\n",
-               de_tran_scalar_s, de_tran_batch_s,
-               de_tran_scalar_s / de_tran_batch_s);
-  std::fprintf(out, "  \"ac_sweep\": [");
-  for (std::size_t i = 0; i < lane_pairs.size(); ++i) {
-    std::fprintf(out,
-                 "%s{\"jobs\": %zu, \"scalar_seconds\": %.6f, "
-                 "\"batch_seconds\": %.6f, \"speedup\": %.3f}",
-                 i == 0 ? "" : ", ", lane_pairs[i].jobs,
-                 lane_pairs[i].scalar_s, lane_pairs[i].batch_s,
-                 lane_pairs[i].scalar_s / lane_pairs[i].batch_s);
-  }
-  std::fprintf(out, "]},\n");
-  std::fprintf(out,
                " \"adaptive_tran\": {\"tstop\": %.6e, \"dt\": %.6e, "
                "\"rtol\": %.3e, \"atol\": %.3e,\n",
                at_fixed.tstop, at_fixed.dt,
@@ -640,11 +467,10 @@ int emit_json(const char* path) {
                " \"determinism\": {\"dc_bitwise_equal\": %s, "
                "\"ac_bitwise_equal\": %s, \"ac_jobs_invariant\": %s, "
                "\"tran_repeat_equal\": %s, "
-               "\"device_eval_bitwise_equal\": %s, "
                "\"adaptive_repeat_equal\": %s},\n",
                dc_equal ? "true" : "false", ac_equal ? "true" : "false",
                ac_jobs_invariant ? "true" : "false",
-               tran_equal ? "true" : "false", de_equal ? "true" : "false",
+               tran_equal ? "true" : "false",
                adaptive_repeat_equal ? "true" : "false");
   std::fprintf(out, " \"metrics\": %s}\n", metrics.c_str());
   std::fclose(out);
@@ -654,10 +480,9 @@ int emit_json(const char* path) {
     return 1;
   }
   std::printf(
-      "wrote %s (dc speedup %.2fx, ac speedup %.2fx, batch dc %.2fx, "
+      "wrote %s (dc speedup %.2fx, ac speedup %.2fx, "
       "adaptive tran %.1fx fewer steps)\n",
-      path, dc_base_s / dc_ws_s, ac_base_s / ac_ws_s,
-      de_dc_scalar_s / de_dc_batch_s, step_reduction);
+      path, dc_base_s / dc_ws_s, ac_base_s / ac_ws_s, step_reduction);
   return 0;
 }
 

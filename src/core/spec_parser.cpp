@@ -1,5 +1,6 @@
 #include "core/spec_parser.h"
 
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -70,7 +71,7 @@ SpecParseResult parse_opamp_spec(std::string_view text) {
       continue;
     }
     const auto value = util::parse_double(tokens[1]);
-    if (!value) {
+    if (!value || !std::isfinite(*value * it->second.scale)) {
       result.log.error("spec-parse",
                        util::format("line %d: bad value '%s'", line_no,
                                     tokens[1].c_str()));

@@ -13,9 +13,9 @@
 // field of `evaluate_core(p, g, bias)` — each per-region expression is
 // written as the exact expression tree of the scalar reference (including
 // the `std::max` operand order, which fixes the sign of zero), and the
-// selects only choose which result is stored.  The batch path is therefore
-// interchangeable with the scalar path anywhere, at any jobs setting, and
-// the golden-equivalence suites pin this forever.
+// selects only choose which result is stored.  tests/test_mos_batch.cpp
+// pins this per slot, and NonlinearSystem::eval against a per-device
+// evaluate_terminal reference.
 //
 // Inputs are split into bias arrays (rewritten every Newton iteration) and
 // device-constant arrays (geometry + effective model parameters, loaded

@@ -42,8 +42,8 @@ constexpr double kVidTol = 1e-9;
 
 // One Newton solve at fixed (source_scale, gmin).  Returns true on
 // convergence; x is updated in place with the best iterate either way.
-// All scratch lives in `ws` — including the batch device table when
-// `device_eval` is kBatch — so a warm iteration allocates nothing.
+// All scratch lives in `ws` — including the device table — so a warm
+// iteration allocates nothing.
 //
 // With a border, vid is one more unknown and x[out] = target one more
 // equation.  Keller's block elimination solves the bordered system with
@@ -52,9 +52,9 @@ constexpr double kVidTol = 1e-9;
 // b_out (the output does not respond to vid) fails the solve.  The border
 // is only used at full source scale; border->vid changes only on success.
 bool newton_solve(const NonlinearSystem& sys, double source_scale,
-                  double gmin, const OpOptions& opts, DeviceEval device_eval,
-                  SimWorkspace* ws, std::vector<double>* x,
-                  int* iterations_used, OffsetBorder* border = nullptr) {
+                  double gmin, const OpOptions& opts, SimWorkspace* ws,
+                  std::vector<double>* x, int* iterations_used,
+                  OffsetBorder* border = nullptr) {
   DcMetrics& metrics = DcMetrics::get();
   metrics.solves.add();
   const MnaLayout& layout = sys.layout();
@@ -67,7 +67,6 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
   NonlinearSystem::EvalOptions eval_opts;
   eval_opts.source_scale = source_scale;
   eval_opts.gmin = gmin;
-  eval_opts.device_eval = device_eval;
 
   std::size_t vpos = 0, vneg = 0, out = 0;  // the border's MNA rows
   double vid = 0.0;
@@ -163,14 +162,10 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
   SimWorkspace local_ws;
   SimWorkspace* ws = workspace != nullptr ? workspace : &local_ws;
 
-  // Resolve the MOS evaluation path once per solve and, for the batch
-  // path, (re)build the SoA device table into the workspace.  Workspaces
-  // may be reused across different circuits, so the table is always
-  // rebuilt here — a constant fill that allocates only when it grows.
-  const DeviceEval device_eval = resolve_device_eval(opts.device_eval);
-  if (device_eval == DeviceEval::kBatch) {
-    sys.build_device_table(&ws->devices);
-  }
+  // (Re)build the SoA device table into the workspace.  Workspaces may be
+  // reused across different circuits, so the table is always rebuilt here
+  // — a constant fill that allocates only when it grows.
+  sys.build_device_table(&ws->devices);
 
   OpResult result;
   std::vector<double> x =
@@ -181,8 +176,8 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
   {
     std::vector<double> trial = x;
     int iters = 0;
-    if (newton_solve(sys, 1.0, opts.gmin, opts, device_eval, ws, &trial,
-                     &iters, border)) {
+    if (newton_solve(sys, 1.0, opts.gmin, opts, ws, &trial, &iters,
+                     border)) {
       result.converged = true;
       result.strategy = "newton";
       result.total_iterations = iters;
@@ -200,14 +195,13 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
     int iters = 0;
     for (double gmin = opts.gmin_step_start; gmin >= opts.gmin * 0.99;
          gmin *= opts.gmin_step_ratio) {
-      if (!newton_solve(sys, 1.0, gmin, opts, device_eval, ws, &trial,
-                        &iters)) {
+      if (!newton_solve(sys, 1.0, gmin, opts, ws, &trial, &iters)) {
         ok = false;
         break;
       }
     }
-    if (ok && newton_solve(sys, 1.0, opts.gmin, opts, device_eval, ws,
-                           &trial, &iters)) {
+    if (ok &&
+        newton_solve(sys, 1.0, opts.gmin, opts, ws, &trial, &iters)) {
       result.converged = true;
       result.strategy = "gmin-step";
       result.solution = std::move(trial);
@@ -226,8 +220,7 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
     while (scale < 1.0 && ok) {
       const double next = std::min(scale + step, 1.0);
       std::vector<double> attempt = trial;
-      if (newton_solve(sys, next, opts.gmin, opts, device_eval, ws, &attempt,
-                       &iters)) {
+      if (newton_solve(sys, next, opts.gmin, opts, ws, &attempt, &iters)) {
         trial = std::move(attempt);
         scale = next;
         step = std::min(step * 2.0, opts.source_step_max);
@@ -249,7 +242,6 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
     // Final bookkeeping pass to capture per-device operating info.
     NonlinearSystem::EvalOptions eval_opts;
     eval_opts.gmin = opts.gmin;
-    eval_opts.device_eval = device_eval;
     sys.eval(result.solution, eval_opts, nullptr, nullptr, &result.devices,
              &ws->devices);
   } else {

@@ -36,10 +36,6 @@ struct OpOptions {
   double source_step_min = 1e-3;     // give up when increment falls below
   // Warm start (raw unknown vector from a previous OpResult); empty = flat.
   std::vector<double> initial_guess;
-  // MOS evaluation path: kDefault resolves to the process-wide default
-  // (batch unless overridden — see spice/sim_options.h).  Scalar and batch
-  // are bit-for-bit identical; this is purely a performance knob.
-  DeviceEval device_eval = DeviceEval::kDefault;
 };
 
 struct OpResult {

@@ -204,156 +204,106 @@ void NonlinearSystem::eval(const std::vector<double>& x,
     add_f(layout_.node_index(i.b), -value);
   }
 
+  DeviceTable local_table;
+  if (devices == nullptr) {
+    build_device_table(&local_table);
+    devices = &local_table;
+  } else if (devices->size() != circuit_->mosfets().size()) {
+    throw std::logic_error(
+        "eval: device table was not built for this circuit (see "
+        "NonlinearSystem::build_device_table)");
+  }
   const tech::Technology& t = *tech_;
-  if (opts.device_eval == DeviceEval::kBatch) {
-    if (devices == nullptr ||
-        devices->size() != circuit_->mosfets().size()) {
-      throw std::logic_error(
-          "eval: batch device path requires a device table built for this "
-          "circuit (see NonlinearSystem::build_device_table)");
-    }
-    DeviceTable& tab = *devices;
-    mos::CoreEvalBatch& bat = tab.batch;
-    const std::size_t ndev = tab.size();
+  DeviceTable& tab = *devices;
+  mos::CoreEvalBatch& bat = tab.batch;
+  const std::size_t ndev = tab.size();
 
-    // Re-bias pass: map node voltages into the NMOS-like frame per slot
-    // (PMOS sign flip, then drain/source exchange when cvd < cvs), exactly
-    // the frame mapping at the top of mos::evaluate_terminal.
-    auto node_voltage = [&](int idx) {
-      return idx < 0 ? 0.0 : x[static_cast<std::size_t>(idx)];
-    };
-    for (std::size_t k = 0; k < ndev; ++k) {
-      const double sign = tab.sign[k];
-      const double cvg = sign * node_voltage(tab.g[k]);
-      double cvd = sign * node_voltage(tab.d[k]);
-      double cvs = sign * node_voltage(tab.s[k]);
-      const double cvb = sign * node_voltage(tab.b[k]);
-      const bool swapped = cvd < cvs;
-      if (swapped) std::swap(cvd, cvs);
-      tab.swapped[k] = swapped ? 1 : 0;
-      bat.vgs[k] = cvg - cvs;
-      bat.vds[k] = cvd - cvs;
-      bat.vbs[k] = cvb - cvs;
-    }
-
-    mos::evaluate_core_batch(&bat);
-    DeviceEvalMetrics& dm = DeviceEvalMetrics::get();
-    dm.batches.add();
-    dm.devices.add(static_cast<std::uint64_t>(ndev));
-
-    // Stamp pass, in device index order from the flat outputs — the same
-    // accumulation order as the scalar loop, so every Jacobian/residual
-    // sum is bit-identical.  The swap/sign unwinding below mirrors the
-    // tail of mos::evaluate_terminal line for line.
-    for (std::size_t k = 0; k < ndev; ++k) {
-      const double sign = tab.sign[k];
-      double id = bat.id[k];
-      double di_dvg = bat.gm[k];
-      double di_dvd = bat.gds[k];
-      double di_dvs = -(bat.gm[k] + bat.gds[k] + bat.gmb[k]);
-      double di_dvb = bat.gmb[k];
-      if (tab.swapped[k] != 0) {
-        id = -id;
-        const double orig_dvd = -di_dvs;
-        const double orig_dvs = -di_dvd;
-        di_dvd = orig_dvd;
-        di_dvs = orig_dvs;
-        di_dvg = -di_dvg;
-        di_dvb = -di_dvb;
-      }
-      const double id_ds = sign * id;
-
-      const int id_ = tab.d[k];
-      const int ig = tab.g[k];
-      const int is = tab.s[k];
-      const int ib = tab.b[k];
-
-      add_f(id_, id_ds);
-      add_f(is, -id_ds);
-      add_j(id_, ig, di_dvg);
-      add_j(id_, id_, di_dvd);
-      add_j(id_, is, di_dvs);
-      add_j(id_, ib, di_dvb);
-      add_j(is, ig, -di_dvg);
-      add_j(is, id_, -di_dvd);
-      add_j(is, is, -di_dvs);
-      add_j(is, ib, -di_dvb);
-
-      if (device_ops != nullptr) {
-        const auto& m = circuit_->mosfets()[k];
-        const double vd = node_voltage(id_);
-        const double vg = node_voltage(ig);
-        const double vs = node_voltage(is);
-        const double vb = node_voltage(ib);
-        DeviceOp& op = (*device_ops)[k];
-        op.region = bat.region_at(k);
-        op.vgs = sign * (vg - vs);
-        op.vds = sign * (vd - vs);
-        op.vbs = sign * (vb - vs);
-        op.id = std::abs(id_ds);
-        op.vth = bat.vth[k];
-        op.vov = bat.vov[k];
-        op.vdsat = bat.vdsat[k];
-        op.gm = bat.gm[k];
-        op.gds = bat.gds[k];
-        op.gmb = bat.gmb[k];
-        op.id_ds = id_ds;
-        op.di_dvg = di_dvg;
-        op.di_dvd = di_dvd;
-        op.di_dvs = di_dvs;
-        op.di_dvb = di_dvb;
-        fill_device_caps(t, m, vd, vg, vs, vb, &op);
-      }
-    }
-    return;
+  // Re-bias pass: map node voltages into the NMOS-like frame per slot
+  // (PMOS sign flip, then drain/source exchange when cvd < cvs), exactly
+  // the frame mapping at the top of mos::evaluate_terminal.
+  auto node_voltage = [&](int idx) {
+    return idx < 0 ? 0.0 : x[static_cast<std::size_t>(idx)];
+  };
+  for (std::size_t k = 0; k < ndev; ++k) {
+    const double sign = tab.sign[k];
+    const double cvg = sign * node_voltage(tab.g[k]);
+    double cvd = sign * node_voltage(tab.d[k]);
+    double cvs = sign * node_voltage(tab.s[k]);
+    const double cvb = sign * node_voltage(tab.b[k]);
+    const bool swapped = cvd < cvs;
+    if (swapped) std::swap(cvd, cvs);
+    tab.swapped[k] = swapped ? 1 : 0;
+    bat.vgs[k] = cvg - cvs;
+    bat.vds[k] = cvd - cvs;
+    bat.vbs[k] = cvb - cvs;
   }
 
-  for (std::size_t k = 0; k < circuit_->mosfets().size(); ++k) {
-    const auto& m = circuit_->mosfets()[k];
-    tech::MosParams p = m.type == mos::MosType::kNmos ? t.nmos : t.pmos;
-    p.vt0 += m.dvt;  // per-device mismatch perturbation
-    const double vd = layout_.voltage(x, m.d);
-    const double vg = layout_.voltage(x, m.g);
-    const double vs = layout_.voltage(x, m.s);
-    const double vb = layout_.voltage(x, m.b);
-    const mos::TerminalEval e =
-        mos::evaluate_terminal(p, m.type, m.geom, vg, vd, vs, vb);
+  mos::evaluate_core_batch(&bat);
+  DeviceEvalMetrics& dm = DeviceEvalMetrics::get();
+  dm.batches.add();
+  dm.devices.add(static_cast<std::uint64_t>(ndev));
 
-    const int id_ = layout_.node_index(m.d);
-    const int ig = layout_.node_index(m.g);
-    const int is = layout_.node_index(m.s);
-    const int ib = layout_.node_index(m.b);
+  // Stamp pass, in device index order from the flat outputs.  The
+  // swap/sign unwinding below mirrors the tail of mos::evaluate_terminal
+  // line for line, so each stamp equals the scalar model's bit for bit
+  // (pinned per slot and per stamp in tests/test_mos_batch.cpp).
+  for (std::size_t k = 0; k < ndev; ++k) {
+    const double sign = tab.sign[k];
+    double id = bat.id[k];
+    double di_dvg = bat.gm[k];
+    double di_dvd = bat.gds[k];
+    double di_dvs = -(bat.gm[k] + bat.gds[k] + bat.gmb[k]);
+    double di_dvb = bat.gmb[k];
+    if (tab.swapped[k] != 0) {
+      id = -id;
+      const double orig_dvd = -di_dvs;
+      const double orig_dvs = -di_dvd;
+      di_dvd = orig_dvd;
+      di_dvs = orig_dvs;
+      di_dvg = -di_dvg;
+      di_dvb = -di_dvb;
+    }
+    const double id_ds = sign * id;
 
-    add_f(id_, e.id_ds);
-    add_f(is, -e.id_ds);
-    add_j(id_, ig, e.di_dvg);
-    add_j(id_, id_, e.di_dvd);
-    add_j(id_, is, e.di_dvs);
-    add_j(id_, ib, e.di_dvb);
-    add_j(is, ig, -e.di_dvg);
-    add_j(is, id_, -e.di_dvd);
-    add_j(is, is, -e.di_dvs);
-    add_j(is, ib, -e.di_dvb);
+    const int id_ = tab.d[k];
+    const int ig = tab.g[k];
+    const int is = tab.s[k];
+    const int ib = tab.b[k];
+
+    add_f(id_, id_ds);
+    add_f(is, -id_ds);
+    add_j(id_, ig, di_dvg);
+    add_j(id_, id_, di_dvd);
+    add_j(id_, is, di_dvs);
+    add_j(id_, ib, di_dvb);
+    add_j(is, ig, -di_dvg);
+    add_j(is, id_, -di_dvd);
+    add_j(is, is, -di_dvs);
+    add_j(is, ib, -di_dvb);
 
     if (device_ops != nullptr) {
+      const auto& m = circuit_->mosfets()[k];
+      const double vd = node_voltage(id_);
+      const double vg = node_voltage(ig);
+      const double vs = node_voltage(is);
+      const double vb = node_voltage(ib);
       DeviceOp& op = (*device_ops)[k];
-      op.region = e.region;
-      const double sign = m.type == mos::MosType::kNmos ? 1.0 : -1.0;
+      op.region = bat.region_at(k);
       op.vgs = sign * (vg - vs);
       op.vds = sign * (vd - vs);
       op.vbs = sign * (vb - vs);
-      op.id = std::abs(e.id_ds);
-      op.vth = e.vth;
-      op.vov = e.vov;
-      op.vdsat = e.vdsat;
-      op.gm = e.gm;
-      op.gds = e.gds;
-      op.gmb = e.gmb;
-      op.id_ds = e.id_ds;
-      op.di_dvg = e.di_dvg;
-      op.di_dvd = e.di_dvd;
-      op.di_dvs = e.di_dvs;
-      op.di_dvb = e.di_dvb;
+      op.id = std::abs(id_ds);
+      op.vth = bat.vth[k];
+      op.vov = bat.vov[k];
+      op.vdsat = bat.vdsat[k];
+      op.gm = bat.gm[k];
+      op.gds = bat.gds[k];
+      op.gmb = bat.gmb[k];
+      op.id_ds = id_ds;
+      op.di_dvg = di_dvg;
+      op.di_dvd = di_dvd;
+      op.di_dvs = di_dvs;
+      op.di_dvb = di_dvb;
       fill_device_caps(t, m, vd, vg, vs, vb, &op);
     }
   }

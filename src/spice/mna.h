@@ -16,7 +16,6 @@
 #include "mos/level1_batch.h"
 #include "netlist/circuit.h"
 #include "numeric/matrix.h"
-#include "spice/sim_options.h"
 #include "tech/technology.h"
 
 namespace oasys::sim {
@@ -61,7 +60,7 @@ struct DeviceOp {
   double cgs = 0.0, cgd = 0.0, cgb = 0.0, cdb = 0.0, csb = 0.0;
 };
 
-// Structure-of-arrays device table for the batched MOS evaluation path.
+// Structure-of-arrays MOS device table, the input of the batch kernel.
 // Built once per (circuit, solve) by NonlinearSystem::build_device_table —
 // device constants and MNA node indices in Circuit::mosfets() order — then
 // re-biased in place every eval.  Lives inside sim::SimWorkspace so the
@@ -91,21 +90,18 @@ class NonlinearSystem {
     double source_scale = 1.0;  // multiplies every independent source
     double gmin = 1e-12;        // shunt conductance to ground on every node
     double time = -1.0;         // <0: DC values; >=0: waveform value(time)
-    // Already-resolved MOS evaluation path (kDefault is treated as
-    // kScalar here — callers resolve the process default up front).
-    // kBatch requires a matching `devices` table in the eval call.
-    DeviceEval device_eval = DeviceEval::kScalar;
   };
 
   // Computes f(x) into `residual` and J(x) into `jac` (either may be null).
   // When `device_ops` is non-null it is resized/filled with per-MOSFET
   // operating info including bias-dependent capacitances.
   //
-  // With opts.device_eval == kBatch, `devices` must point at a table built
-  // by build_device_table() for this circuit (throws std::logic_error
-  // otherwise); its bias arrays and swapped flags are rewritten, the SoA
-  // kernel runs once, and the stamps are applied from the flat outputs in
-  // device index order — bit-for-bit identical to the scalar path.
+  // MOS devices go through the SoA kernel (mos::evaluate_core_batch) once
+  // per call, and their stamps are applied from the flat outputs in device
+  // index order.  `devices` is a table built by build_device_table() for
+  // this circuit (std::logic_error on a size mismatch); its bias arrays and
+  // swapped flags are rewritten.  When it is null, a table is built for
+  // this call alone — that allocates, so solvers pass their workspace's.
   void eval(const std::vector<double>& x, const EvalOptions& opts,
             num::RealMatrix* jac, std::vector<double>* residual,
             std::vector<DeviceOp>* device_ops = nullptr,

@@ -7,66 +7,6 @@ namespace oasys::sim {
 
 namespace {
 
-constexpr DeviceEval kBuiltInDefault = DeviceEval::kBatch;
-
-DeviceEval initial_default() {
-  const char* env = std::getenv("OASYS_DEVICE_EVAL");
-  DeviceEval parsed = DeviceEval::kDefault;
-  if (env != nullptr && parse_device_eval(env, &parsed)) {
-    return parsed;
-  }
-  return kBuiltInDefault;
-}
-
-std::atomic<DeviceEval>& default_slot() {
-  static std::atomic<DeviceEval> slot{initial_default()};
-  return slot;
-}
-
-}  // namespace
-
-bool parse_device_eval(std::string_view text, DeviceEval* out) {
-  if (text == "scalar") {
-    *out = DeviceEval::kScalar;
-    return true;
-  }
-  if (text == "batch") {
-    *out = DeviceEval::kBatch;
-    return true;
-  }
-  return false;
-}
-
-const char* to_string(DeviceEval mode) {
-  switch (mode) {
-    case DeviceEval::kDefault:
-      return "default";
-    case DeviceEval::kScalar:
-      return "scalar";
-    case DeviceEval::kBatch:
-      return "batch";
-  }
-  return "unknown";
-}
-
-DeviceEval device_eval_default() {
-  return default_slot().load(std::memory_order_relaxed);
-}
-
-void set_device_eval_default(DeviceEval mode) {
-  default_slot().store(mode == DeviceEval::kDefault ? kBuiltInDefault : mode,
-                       std::memory_order_relaxed);
-}
-
-DeviceEval resolve_device_eval(DeviceEval requested) {
-  return requested == DeviceEval::kDefault ? device_eval_default()
-                                           : requested;
-}
-
-// ---- TranMode ---------------------------------------------------------------
-
-namespace {
-
 constexpr TranMode kBuiltInTranMode = TranMode::kFixed;
 
 TranMode initial_tran_mode() {

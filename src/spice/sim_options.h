@@ -1,56 +1,18 @@
 // Runtime simulation-engine options shared by every analysis.
-//
-// DeviceEval selects how MOS devices are evaluated inside the MNA
-// assembly: one at a time through the scalar reference
-// (`mos::evaluate_core`) or all at once through the SoA batch kernel
-// (`mos::evaluate_core_batch`).  The two paths are bit-for-bit identical —
-// pinned by the golden-equivalence suites — so the choice is purely a
-// performance knob: it is deliberately excluded from request fingerprints
-// and wire protocols, and flipping it never invalidates caches, golden
-// results, or shard/serve conformance.
-//
-// Resolution order for an analysis call:
-//   1. an explicit kScalar/kBatch in the per-call options wins;
-//   2. kDefault falls back to the process-wide default, which is kBatch
-//      unless overridden by set_device_eval_default() or, at first use,
-//      by the environment variable OASYS_DEVICE_EVAL=scalar|batch.
 #pragma once
 
 #include <string_view>
 
 namespace oasys::sim {
 
-enum class DeviceEval {
-  kDefault = 0,  // resolve via the process-wide default
-  kScalar,       // per-device mos::evaluate_terminal (reference path)
-  kBatch,        // SoA mos::evaluate_core_batch via the device table
-};
-
-// Process-wide default used wherever an analysis is invoked with kDefault.
-// Thread-safe (relaxed atomic); the first read consults OASYS_DEVICE_EVAL.
-DeviceEval device_eval_default();
-
-// Overrides the process-wide default; kDefault restores the built-in
-// default (kBatch).  Intended for CLI flags and tests.
-void set_device_eval_default(DeviceEval mode);
-
-// Collapses kDefault to the process-wide default; identity otherwise.
-DeviceEval resolve_device_eval(DeviceEval requested);
-
-// Parses "scalar" / "batch" (the user-facing spellings).  Returns false —
-// leaving *out untouched — on anything else.
-bool parse_device_eval(std::string_view text, DeviceEval* out);
-
-const char* to_string(DeviceEval mode);
-
-// TranMode selects the transient time-stepping strategy.  Unlike
-// DeviceEval, the choice is semantically meaningful: the adaptive
-// integrator's results agree with fixed-step only within the configured
-// error tolerances, never bit-for-bit.  It therefore participates in
-// request fingerprints and the shard/serve wire config, so fixed and
-// adaptive runs can never share a cache entry or a golden pin.
+// TranMode selects the transient time-stepping strategy.  The choice is
+// semantically meaningful: the adaptive integrator's results agree with
+// fixed-step only within the configured error tolerances, never
+// bit-for-bit.  It therefore participates in request fingerprints and the
+// shard/serve wire config, so fixed and adaptive runs can never share a
+// cache entry or a golden pin.
 //
-// Resolution mirrors DeviceEval:
+// Resolution order for a transient call:
 //   1. an explicit kFixed/kAdaptive in the per-call options wins;
 //   2. kDefault falls back to the process-wide default, which is kFixed
 //      (the permanent reference) unless overridden by

@@ -15,9 +15,8 @@ namespace oasys::sim {
 // Fills `g` and `cap` (resized to layout.size()); requires op.devices to
 // match the circuit.  Includes the small stabilizing shunt on every node.
 //
-// The G stamps come from op.devices, so the small-signal model inherits
-// whichever device-eval path (scalar or batch) produced the operating
-// point — bit-identically, since the two paths agree bit-for-bit.
+// The G stamps come from op.devices, the batch kernel's outputs at the
+// operating point, so the small-signal model needs no device evaluation.
 void build_small_signal_matrices(const ckt::Circuit& c,
                                  const MnaLayout& layout, const OpResult& op,
                                  num::RealMatrix* g, num::RealMatrix* cap);

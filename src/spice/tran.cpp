@@ -109,7 +109,6 @@ struct StepContext {
   SimWorkspace& ws;
   const num::RealMatrix& cmat;
   const TranOptions& opts;
-  DeviceEval device_eval;
   std::size_t n;
   std::size_t nv;
 
@@ -126,7 +125,6 @@ struct StepContext {
     NonlinearSystem::EvalOptions eval_opts;
     eval_opts.gmin = opts.gmin;
     eval_opts.time = time;
-    eval_opts.device_eval = device_eval;
 
     // Companion coefficients.  i_C = C dv/dt.  Backward Euler:
     // i = C (x - x_prev)/h.  Trapezoidal: i = 2C/h (x - x_prev) - C*dvdt_prev.
@@ -206,15 +204,11 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
   // One workspace for every Newton iteration of every timestep: after the
   // first iteration the stepping loop allocates only the accepted states.
   SimWorkspace ws;
-  const DeviceEval device_eval = resolve_device_eval(opts.device_eval);
-  if (device_eval == DeviceEval::kBatch) {
-    sys.build_device_table(&ws.devices);
-  }
+  sys.build_device_table(&ws.devices);
 
-  const StepContext ctx{sys, ws, cmat, opts, device_eval, n, nv};
+  const StepContext ctx{sys, ws, cmat, opts, n, nv};
   NonlinearSystem::EvalOptions refresh_opts;
   refresh_opts.gmin = opts.gmin;
-  refresh_opts.device_eval = device_eval;
 
   // Accepts a step ending at `time` with solution `x_new`: trapezoidal
   // history update, device-capacitance refresh at the new bias, and the

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "spice/dc.h"
+#include "spice/sim_options.h"
 
 namespace oasys::sim {
 
@@ -34,9 +35,6 @@ struct TranOptions {
   double vntol = 1e-6;
   double gmin = 1e-12;
   double vlimit_step = 0.6;
-  // MOS evaluation path (see spice/sim_options.h); kDefault resolves to
-  // the process-wide default.  Scalar and batch are bit-for-bit identical.
-  DeviceEval device_eval = DeviceEval::kDefault;
   // Stepping strategy; kDefault resolves to the process-wide default
   // (tran_mode_default(), normally kFixed).
   TranMode mode = TranMode::kDefault;

@@ -28,7 +28,7 @@ struct SimWorkspace {
   std::vector<double> step;      // RHS -f on entry to the solve, dx after
   num::LuFactors<double> lu;     // factorization of jac
   std::vector<double> border;    // bordered solves: dx/dvid (J b = -df/dvid)
-  // SoA device table for the batched MOS path (DeviceEval::kBatch).
+  // SoA MOS device table that NonlinearSystem::eval evaluates.
   // Rebuilt by each analysis for its own circuit before solving — cheap
   // constant fills, allocation-free at steady sizes — and re-biased in
   // place every eval.  Holds no cross-solve numeric state.

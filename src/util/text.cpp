@@ -62,7 +62,9 @@ std::optional<double> parse_double(std::string_view s) {
   std::string buf(s);
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
+  if (end != buf.c_str() + buf.size() || !std::isfinite(v)) {
+    return std::nullopt;
+  }
   return v;
 }
 

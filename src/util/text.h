@@ -23,7 +23,8 @@ std::string to_lower(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
 
-// Strict double parse of the whole (trimmed) token; nullopt on failure.
+// Strict double parse of the whole (trimmed) token; nullopt on failure and
+// on non-finite results (nan, inf, or overflow such as 1e999).
 std::optional<double> parse_double(std::string_view s);
 
 // printf-style formatting into a std::string.

@@ -112,68 +112,14 @@ Circuit amp_circuit(const tech::Technology& t) {
   return c;
 }
 
-TEST(AllocFree, NewtonKernelLoopIsAllocationFreeWhenWarm) {
-  const tech::Technology t = tech::five_micron();
-  const Circuit c = amp_circuit(t);
-  const OpResult op = dc_operating_point(c, t);
-  ASSERT_TRUE(op.converged);
-
-  NonlinearSystem sys(c, t);
-  const std::size_t n = sys.layout().size();
-  const std::size_t nv = sys.layout().num_node_unknowns();
-  SimWorkspace ws;
-  NonlinearSystem::EvalOptions eval_opts;
-  std::vector<double> x(n);
-
+TEST(AllocFree, BatchedDeviceEvalNewtonLoopIsAllocationFreeWhenWarm) {
   // One converged Newton solve from a flat start, exactly the kernel loop
   // dc_operating_point runs: eval, in-place factor, in-place solve, damped
   // update, convergence check.  The factor adopts the Jacobian's storage by
   // swap, so two buffers rotate between ws.jac and ws.lu; a multi-iteration
-  // first pass primes both, after which the rotation is allocation-free.
-  bool converged = false;
-  const OpOptions opts;
-  auto newton_pass = [&] {
-    for (std::size_t i = 0; i < n; ++i) x[i] = 0.0;
-    converged = false;
-    for (int iter = 0; iter < opts.max_iterations && !converged; ++iter) {
-      sys.eval(x, eval_opts, &ws.jac, &ws.residual);
-      num::lu_factor_in_place(&ws.jac, &ws.lu);
-      if (ws.lu.singular) return;
-      ws.step.resize(n);
-      for (std::size_t i = 0; i < n; ++i) ws.step[i] = -ws.residual[i];
-      num::lu_solve_in_place(ws.lu, &ws.step);
-      double max_dv = 0.0;
-      for (std::size_t i = 0; i < nv; ++i) {
-        max_dv = std::max(max_dv, std::abs(ws.step[i]));
-      }
-      double scale = 1.0;
-      if (max_dv > opts.vlimit_step) scale = opts.vlimit_step / max_dv;
-      for (std::size_t i = 0; i < n; ++i) x[i] += scale * ws.step[i];
-      if (max_dv < opts.vntol) {
-        sys.eval(x, eval_opts, nullptr, &ws.residual);
-        double max_node_residual = 0.0;
-        for (std::size_t i = 0; i < nv; ++i) {
-          max_node_residual =
-              std::max(max_node_residual, std::abs(ws.residual[i]));
-        }
-        if (max_node_residual < opts.abstol) converged = true;
-      }
-    }
-  };
-
-  newton_pass();  // first pass grows every workspace buffer
-  ASSERT_TRUE(converged);
-  const std::size_t allocs = count_allocations(newton_pass);
-  ASSERT_TRUE(converged);
-  EXPECT_EQ(allocs, 0u)
-      << "warm Newton kernel loop performed heap allocations";
-}
-
-TEST(AllocFree, BatchedDeviceEvalNewtonLoopIsAllocationFreeWhenWarm) {
-  // Same warm Newton kernel loop as above, but through the SoA batch
-  // device path: re-biasing the device table, running the batch kernel,
-  // and stamping from the flat arrays must all be allocation-free once
-  // the table and workspace have their steady sizes.
+  // first pass primes both.  Re-biasing the device table, running the
+  // batch kernel, and stamping from the flat arrays must all be
+  // allocation-free once the table and workspace have their steady sizes.
   const tech::Technology t = tech::five_micron();
   const Circuit c = amp_circuit(t);
   NonlinearSystem sys(c, t);
@@ -181,7 +127,6 @@ TEST(AllocFree, BatchedDeviceEvalNewtonLoopIsAllocationFreeWhenWarm) {
   const std::size_t nv = sys.layout().num_node_unknowns();
   SimWorkspace ws;
   NonlinearSystem::EvalOptions eval_opts;
-  eval_opts.device_eval = DeviceEval::kBatch;
   std::vector<double> x(n);
 
   bool converged = false;

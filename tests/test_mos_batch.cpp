@@ -5,10 +5,11 @@
 // EXPECT_EQ on doubles — no tolerances.  The suite covers the kernel
 // itself over dense bias grids and exact region boundaries, the device
 // table build (constants, mismatch, geometry validation), the full MNA
-// eval (Jacobian, residual, DeviceOp capture), the misuse guards, and the
-// sim.device_eval.* counters.  The finite-difference tests at the bottom
-// pin the *scalar* derivatives to the model's own current — the batch
-// path inherits them through bitwise identity.
+// eval (Jacobian, residual, DeviceOp capture) against a test-local scalar
+// reference built on mos::evaluate_terminal, the table guards, and the
+// sim.device_eval.* counters.  The finite-difference tests pin the
+// *scalar* derivatives to the model's own current — the batch path
+// inherits them through bitwise identity.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,9 +22,9 @@
 #include "obs/metrics.h"
 #include "spice/dc.h"
 #include "spice/mna.h"
-#include "spice/sim_options.h"
 #include "spice/workspace.h"
 #include "tech/builtin.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace oasys::mos {
@@ -269,8 +270,9 @@ const tech::Technology& tech5() {
 }
 
 // NMOS + PMOS + a floating body connection: exercises the sign flip, the
-// D/S swap, and ground (-1) node indices through both eval paths.
-Circuit two_stage_circuit() {
+// D/S swap, and ground (-1) node indices.  Without its MOSFETs the circuit
+// keeps every node, so both variants share one MNA layout.
+Circuit two_stage_circuit(bool with_mosfets = true) {
   Circuit c;
   const auto vdd = c.node("vdd");
   const auto in = c.node("in");
@@ -278,120 +280,205 @@ Circuit two_stage_circuit() {
   const auto out = c.node("out");
   c.add_vsource("VDD", vdd, ckt::kGround, Waveform::dc(tech5().vdd));
   c.add_vsource("VIN", in, ckt::kGround, Waveform::ac(1.2, 1.0));
-  c.add_mosfet("M1", mid, in, ckt::kGround, ckt::kGround,
-               mos::MosType::kNmos, um(50.0), um(5.0));
   c.add_resistor("R1", vdd, mid, 50e3);
-  c.add_mosfet("M2", out, mid, vdd, vdd, mos::MosType::kPmos, um(100.0),
-               um(5.0), 2);
   c.add_resistor("R2", out, ckt::kGround, 100e3);
   c.add_capacitor("CL", out, ckt::kGround, 10e-12);
+  if (with_mosfets) {
+    c.add_mosfet("M1", mid, in, ckt::kGround, ckt::kGround,
+                 mos::MosType::kNmos, um(50.0), um(5.0));
+    c.add_mosfet("M2", out, mid, vdd, vdd, mos::MosType::kPmos, um(100.0),
+                 um(5.0), 2);
+  }
   return c;
 }
 
-void expect_same_eval(const NonlinearSystem& sys,
-                      const std::vector<double>& x, DeviceTable* table) {
-  const std::size_t n = sys.layout().size();
-  NonlinearSystem::EvalOptions scalar_opts;
-  scalar_opts.device_eval = DeviceEval::kScalar;
-  NonlinearSystem::EvalOptions batch_opts;
-  batch_opts.device_eval = DeviceEval::kBatch;
+struct EvalOut {
+  num::RealMatrix jac;
+  std::vector<double> f;
+  std::vector<DeviceOp> ops;
+};
 
-  num::RealMatrix js(n, n), jb(n, n);
-  std::vector<double> fs(n), fb(n);
-  std::vector<DeviceOp> ops_s, ops_b;
-  sys.eval(x, scalar_opts, &js, &fs, &ops_s);
-  sys.eval(x, batch_opts, &jb, &fb, &ops_b, table);
+EvalOut run_eval(const NonlinearSystem& sys, const std::vector<double>& x,
+                 DeviceTable* table) {
+  EvalOut out;
+  sys.eval(x, NonlinearSystem::EvalOptions{}, &out.jac, &out.f, &out.ops,
+           table);
+  return out;
+}
 
-  EXPECT_EQ(fs, fb);
-  const double* ds = js.data();
-  const double* db = jb.data();
+// Scalar reference for NonlinearSystem::eval.  The linear stamps come from
+// `linear` (the same circuit without MOSFETs), so every entry starts from
+// the same partial sum; then each device of `c` goes alone through
+// mos::evaluate_terminal and its ten stamps are added in device order.
+EvalOut reference_eval(const Circuit& c, const NonlinearSystem& linear,
+                       const std::vector<double>& x) {
+  EvalOut ref = run_eval(linear, x, nullptr);
+  const MnaLayout& layout = linear.layout();
+  const tech::Technology& t = tech5();
+  auto add_f = [&](int row, double v) {
+    if (row >= 0) ref.f[static_cast<std::size_t>(row)] += v;
+  };
+  auto add_j = [&](int row, int col, double v) {
+    if (row >= 0 && col >= 0) {
+      ref.jac(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) +=
+          v;
+    }
+  };
+  for (const ckt::Mosfet& m : c.mosfets()) {
+    tech::MosParams p = m.type == mos::MosType::kNmos ? t.nmos : t.pmos;
+    p.vt0 += m.dvt;
+    const double vd = layout.voltage(x, m.d);
+    const double vg = layout.voltage(x, m.g);
+    const double vs = layout.voltage(x, m.s);
+    const double vb = layout.voltage(x, m.b);
+    const mos::TerminalEval e =
+        mos::evaluate_terminal(p, m.type, m.geom, vg, vd, vs, vb);
+    const int id = layout.node_index(m.d);
+    const int ig = layout.node_index(m.g);
+    const int is = layout.node_index(m.s);
+    const int ib = layout.node_index(m.b);
+    add_f(id, e.id_ds);
+    add_f(is, -e.id_ds);
+    add_j(id, ig, e.di_dvg);
+    add_j(id, id, e.di_dvd);
+    add_j(id, is, e.di_dvs);
+    add_j(id, ib, e.di_dvb);
+    add_j(is, ig, -e.di_dvg);
+    add_j(is, id, -e.di_dvd);
+    add_j(is, is, -e.di_dvs);
+    add_j(is, ib, -e.di_dvb);
+
+    DeviceOp op;
+    const double sign = m.type == mos::MosType::kNmos ? 1.0 : -1.0;
+    op.region = e.region;
+    op.vgs = sign * (vg - vs);
+    op.vds = sign * (vd - vs);
+    op.vbs = sign * (vb - vs);
+    op.id = std::abs(e.id_ds);
+    op.vth = e.vth;
+    op.vov = e.vov;
+    op.vdsat = e.vdsat;
+    op.gm = e.gm;
+    op.gds = e.gds;
+    op.gmb = e.gmb;
+    op.id_ds = e.id_ds;
+    op.di_dvg = e.di_dvg;
+    op.di_dvd = e.di_dvd;
+    op.di_dvs = e.di_dvs;
+    op.di_dvb = e.di_dvb;
+    fill_device_caps(t, m, vd, vg, vs, vb, &op);
+    ref.ops.push_back(op);
+  }
+  return ref;
+}
+
+void expect_same(const EvalOut& a, const EvalOut& b) {
+  EXPECT_EQ(a.f, b.f);
+  ASSERT_EQ(a.jac.rows(), b.jac.rows());
+  const std::size_t n = a.jac.rows();
   for (std::size_t k = 0; k < n * n; ++k) {
-    EXPECT_EQ(ds[k], db[k]) << "jacobian entry " << k;
+    EXPECT_EQ(a.jac.data()[k], b.jac.data()[k]) << "jacobian entry " << k;
   }
-  ASSERT_EQ(ops_s.size(), ops_b.size());
-  for (std::size_t i = 0; i < ops_s.size(); ++i) {
-    const DeviceOp& a = ops_s[i];
-    const DeviceOp& b = ops_b[i];
-    EXPECT_EQ(a.region, b.region) << "device " << i;
-    EXPECT_EQ(a.vgs, b.vgs);
-    EXPECT_EQ(a.vds, b.vds);
-    EXPECT_EQ(a.vbs, b.vbs);
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.vth, b.vth);
-    EXPECT_EQ(a.vov, b.vov);
-    EXPECT_EQ(a.vdsat, b.vdsat);
-    EXPECT_EQ(a.gm, b.gm);
-    EXPECT_EQ(a.gds, b.gds);
-    EXPECT_EQ(a.gmb, b.gmb);
-    EXPECT_EQ(a.id_ds, b.id_ds);
-    EXPECT_EQ(a.di_dvg, b.di_dvg);
-    EXPECT_EQ(a.di_dvd, b.di_dvd);
-    EXPECT_EQ(a.di_dvs, b.di_dvs);
-    EXPECT_EQ(a.di_dvb, b.di_dvb);
-    EXPECT_EQ(a.cgs, b.cgs);
-    EXPECT_EQ(a.cgd, b.cgd);
-    EXPECT_EQ(a.cgb, b.cgb);
-    EXPECT_EQ(a.cdb, b.cdb);
-    EXPECT_EQ(a.csb, b.csb);
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    const DeviceOp& p = a.ops[i];
+    const DeviceOp& q = b.ops[i];
+    EXPECT_EQ(p.region, q.region) << "device " << i;
+    EXPECT_EQ(p.vgs, q.vgs);
+    EXPECT_EQ(p.vds, q.vds);
+    EXPECT_EQ(p.vbs, q.vbs);
+    EXPECT_EQ(p.id, q.id);
+    EXPECT_EQ(p.vth, q.vth);
+    EXPECT_EQ(p.vov, q.vov);
+    EXPECT_EQ(p.vdsat, q.vdsat);
+    EXPECT_EQ(p.gm, q.gm);
+    EXPECT_EQ(p.gds, q.gds);
+    EXPECT_EQ(p.gmb, q.gmb);
+    EXPECT_EQ(p.id_ds, q.id_ds);
+    EXPECT_EQ(p.di_dvg, q.di_dvg);
+    EXPECT_EQ(p.di_dvd, q.di_dvd);
+    EXPECT_EQ(p.di_dvs, q.di_dvs);
+    EXPECT_EQ(p.di_dvb, q.di_dvb);
+    EXPECT_EQ(p.cgs, q.cgs);
+    EXPECT_EQ(p.cgd, q.cgd);
+    EXPECT_EQ(p.cgb, q.cgb);
+    EXPECT_EQ(p.cdb, q.cdb);
+    EXPECT_EQ(p.csb, q.csb);
   }
+}
+
+// Checks eval through a built table against the scalar reference.
+void expect_matches_reference(const Circuit& c, const std::vector<double>& x) {
+  const NonlinearSystem sys(c, tech5());
+  const Circuit linear_circuit = two_stage_circuit(false);
+  const NonlinearSystem linear(linear_circuit, tech5());
+  ASSERT_EQ(linear.layout().size(), sys.layout().size());
+  DeviceTable table;
+  sys.build_device_table(&table);
+  expect_same(run_eval(sys, x, &table), reference_eval(c, linear, x));
 }
 
 TEST(BatchMna, EvalMatchesScalarBitwise) {
   const Circuit c = two_stage_circuit();
-  NonlinearSystem sys(c, tech5());
-  DeviceTable table;
-  sys.build_device_table(&table);
-  ASSERT_EQ(table.size(), 2u);
+  const std::size_t n = MnaLayout(c).size();
 
   // At the converged operating point...
-  OpOptions scalar_only;
-  scalar_only.device_eval = DeviceEval::kScalar;
-  const OpResult op = dc_operating_point(c, tech5(), scalar_only);
+  const OpResult op = dc_operating_point(c, tech5());
   ASSERT_TRUE(op.converged);
-  expect_same_eval(sys, op.solution, &table);
+  expect_matches_reference(c, op.solution);
 
   // ...at a flat start (vds == 0 everywhere)...
-  expect_same_eval(sys, std::vector<double>(sys.layout().size(), 0.0), &table);
+  expect_matches_reference(c, std::vector<double>(n, 0.0));
 
   // ...and at a deliberately scrambled bias that reverses vds on both
   // devices, driving the D/S-swap unwinding.
-  std::vector<double> scrambled(sys.layout().size(), 0.0);
+  std::vector<double> scrambled(n, 0.0);
   for (std::size_t i = 0; i < scrambled.size(); ++i) {
     scrambled[i] = (i % 2 == 0) ? 4.0 : -1.5;
   }
-  expect_same_eval(sys, scrambled, &table);
+  expect_matches_reference(c, scrambled);
+
+  // ...and at seeded random biases across every region and both D/S
+  // orientations; the three above alone miss a re-associated stamp sum.
+  util::RngStream rng(0xb1a5u, 0);
+  for (int i = 0; i < 64; ++i) {
+    std::vector<double> x(n);
+    for (double& v : x) v = 10.0 * rng.next_double() - 5.0;
+    expect_matches_reference(c, x);
+  }
 }
 
 TEST(BatchMna, MismatchShiftFlowsThroughTable) {
   Circuit c = two_stage_circuit();
   c.set_mosfet_dvt("M1", 4e-3);
-  NonlinearSystem sys(c, tech5());
-  DeviceTable table;
-  sys.build_device_table(&table);
-  OpOptions scalar_only;
-  scalar_only.device_eval = DeviceEval::kScalar;
-  const OpResult op = dc_operating_point(c, tech5(), scalar_only);
+  const OpResult op = dc_operating_point(c, tech5());
   ASSERT_TRUE(op.converged);
-  expect_same_eval(sys, op.solution, &table);
+  expect_matches_reference(c, op.solution);
 }
 
 TEST(BatchMna, BatchWithoutTableThrows) {
+  // A null table is built for the one call, bit-identical to a built one.
   const Circuit c = two_stage_circuit();
   NonlinearSystem sys(c, tech5());
-  const std::size_t n = sys.layout().size();
-  NonlinearSystem::EvalOptions opts;
-  opts.device_eval = DeviceEval::kBatch;
-  std::vector<double> x(n, 0.0), f(n);
-  EXPECT_THROW(sys.eval(x, opts, nullptr, &f), std::logic_error);
+  const OpResult op = dc_operating_point(c, tech5());
+  ASSERT_TRUE(op.converged);
+  DeviceTable table;
+  sys.build_device_table(&table);
+  expect_same(run_eval(sys, op.solution, nullptr),
+              run_eval(sys, op.solution, &table));
 
-  // A table built for a different device count is rejected too.
+  // A table built for a different device count is rejected.
+  const std::size_t n = sys.layout().size();
+  std::vector<double> x(n, 0.0), f(n);
   DeviceTable stale;
   stale.batch.resize(5);
-  EXPECT_THROW(sys.eval(x, opts, nullptr, &f, nullptr, &stale),
+  EXPECT_THROW(sys.eval(x, NonlinearSystem::EvalOptions{}, nullptr, &f,
+                        nullptr, &stale),
                std::logic_error);
 }
 
 TEST(BatchMna, DeviceEvalCountersCountBatchesOnly) {
+  // One batch per eval call, with or without a caller-built table.
   const Circuit c = two_stage_circuit();
   NonlinearSystem sys(c, tech5());
   DeviceTable table;
@@ -404,43 +491,14 @@ TEST(BatchMna, DeviceEvalCountersCountBatchesOnly) {
   const std::uint64_t b0 = batches.value();
   const std::uint64_t d0 = devices.value();
 
-  NonlinearSystem::EvalOptions opts;
-  opts.device_eval = DeviceEval::kScalar;
+  const NonlinearSystem::EvalOptions opts;
+  sys.eval(x, opts, nullptr, &f, nullptr, &table);
+  EXPECT_EQ(batches.value(), b0 + 1);
+  EXPECT_EQ(devices.value(), d0 + table.size());
+  sys.eval(x, opts, nullptr, &f, nullptr, &table);
   sys.eval(x, opts, nullptr, &f);
-  EXPECT_EQ(batches.value(), b0);  // scalar path never touches them
-  EXPECT_EQ(devices.value(), d0);
-
-  opts.device_eval = DeviceEval::kBatch;
-  sys.eval(x, opts, nullptr, &f, nullptr, &table);
-  sys.eval(x, opts, nullptr, &f, nullptr, &table);
-  EXPECT_EQ(batches.value(), b0 + 2);
-  EXPECT_EQ(devices.value(), d0 + 2 * table.size());
-}
-
-// ---- Runtime default resolution -----------------------------------------
-
-TEST(DeviceEvalDefault, ResolvesAndParses) {
-  // The built-in default is the batch path (OASYS_DEVICE_EVAL is not set
-  // in the test environment).
-  EXPECT_EQ(device_eval_default(), DeviceEval::kBatch);
-  EXPECT_EQ(resolve_device_eval(DeviceEval::kDefault), DeviceEval::kBatch);
-  EXPECT_EQ(resolve_device_eval(DeviceEval::kScalar), DeviceEval::kScalar);
-
-  set_device_eval_default(DeviceEval::kScalar);
-  EXPECT_EQ(device_eval_default(), DeviceEval::kScalar);
-  EXPECT_EQ(resolve_device_eval(DeviceEval::kDefault), DeviceEval::kScalar);
-  set_device_eval_default(DeviceEval::kDefault);  // restore built-in
-  EXPECT_EQ(device_eval_default(), DeviceEval::kBatch);
-
-  DeviceEval mode = DeviceEval::kDefault;
-  EXPECT_TRUE(parse_device_eval("scalar", &mode));
-  EXPECT_EQ(mode, DeviceEval::kScalar);
-  EXPECT_TRUE(parse_device_eval("batch", &mode));
-  EXPECT_EQ(mode, DeviceEval::kBatch);
-  EXPECT_FALSE(parse_device_eval("banana", &mode));
-  EXPECT_EQ(mode, DeviceEval::kBatch);  // untouched on failure
-  EXPECT_STREQ(to_string(DeviceEval::kScalar), "scalar");
-  EXPECT_STREQ(to_string(DeviceEval::kBatch), "batch");
+  EXPECT_EQ(batches.value(), b0 + 3);
+  EXPECT_EQ(devices.value(), d0 + 3 * table.size());
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "numeric/linear.h"
 #include "spice/ac.h"
 #include "spice/dc.h"
-#include "spice/noise.h"
 #include "spice/small_signal.h"
 #include "spice/sweep.h"
 #include "spice/tran.h"
@@ -344,145 +343,6 @@ TEST(WorkspaceGoldenSweep, AcAndTranSweepsJobsInvariant) {
     ASSERT_TRUE(ref.converged);
     EXPECT_EQ(sweep.points[i].solution, ref.solution) << "point=" << i;
     warm.initial_guess = ref.solution;
-  }
-}
-
-// ---- Device eval: scalar vs batch ---------------------------------------
-
-// The batched SoA device path must be bit-for-bit interchangeable with the
-// scalar reference in every analysis, at every jobs setting.  These tests
-// run each analysis twice with the mode forced and compare the results
-// element-wise with EXPECT_EQ — no tolerances anywhere.
-
-OpOptions with_mode(DeviceEval mode) {
-  OpOptions o;
-  o.device_eval = mode;
-  return o;
-}
-
-TEST(DeviceEvalGolden, DcScalarAndBatchBitwiseIdentical) {
-  SimWorkspace ws_s, ws_b;
-  for (const Circuit& c : {amp_circuit(), stiff_circuit()}) {
-    const OpResult scalar = dc_operating_point(
-        c, tech5(), with_mode(DeviceEval::kScalar), &ws_s);
-    const OpResult batch = dc_operating_point(
-        c, tech5(), with_mode(DeviceEval::kBatch), &ws_b);
-    ASSERT_TRUE(scalar.converged);
-    expect_same_op(scalar, batch);
-  }
-}
-
-TEST(DeviceEvalGolden, ContinuationStrategiesIdenticalUnderBatch) {
-  // Crippled Newton falls through gmin stepping / source stepping; the
-  // whole continuation schedule must follow the same trajectory.
-  const Circuit c = stiff_circuit();
-  OpOptions scalar = with_mode(DeviceEval::kScalar);
-  scalar.max_iterations = 16;
-  OpOptions batch = with_mode(DeviceEval::kBatch);
-  batch.max_iterations = 16;
-  const OpResult a = dc_operating_point(c, tech5(), scalar);
-  const OpResult b = dc_operating_point(c, tech5(), batch);
-  ASSERT_TRUE(a.converged);
-  ASSERT_NE(a.strategy, "newton");
-  expect_same_op(a, b);
-}
-
-TEST(DeviceEvalGolden, AcAndNoiseIdenticalFromBatchOperatingPoint) {
-  const Circuit c = amp_circuit();
-  const OpResult op_s =
-      dc_operating_point(c, tech5(), with_mode(DeviceEval::kScalar));
-  const OpResult op_b =
-      dc_operating_point(c, tech5(), with_mode(DeviceEval::kBatch));
-  ASSERT_TRUE(op_s.converged);
-  ASSERT_TRUE(op_b.converged);
-  const auto freqs = num::logspace(10.0, 1e8, 31);
-
-  const AcResult ac_s = ac_analysis(c, tech5(), op_s, freqs, 1);
-  ASSERT_TRUE(ac_s.ok) << ac_s.error;
-  for (const std::size_t jobs :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const AcResult ac_b = ac_analysis(c, tech5(), op_b, freqs, jobs);
-    ASSERT_TRUE(ac_b.ok) << ac_b.error;
-    EXPECT_EQ(ac_b.solutions, ac_s.solutions) << "jobs=" << jobs;
-  }
-
-  const auto out = c.find_node("out");
-  ASSERT_TRUE(out.has_value());
-  const NoiseResult n_s = noise_analysis(c, tech5(), op_s, *out, freqs);
-  const NoiseResult n_b = noise_analysis(c, tech5(), op_b, *out, freqs);
-  ASSERT_TRUE(n_s.ok) << n_s.error;
-  ASSERT_TRUE(n_b.ok) << n_b.error;
-  EXPECT_EQ(n_s.output_psd, n_b.output_psd);
-}
-
-TEST(DeviceEvalGolden, TransientScalarAndBatchBitwiseIdentical) {
-  const Circuit c = amp_circuit();
-  const OpResult op =
-      dc_operating_point(c, tech5(), with_mode(DeviceEval::kScalar));
-  ASSERT_TRUE(op.converged);
-  TranOptions to_s;
-  to_s.tstop = 1e-6;
-  to_s.dt = 1e-8;
-  TranOptions to_b = to_s;
-  to_s.device_eval = DeviceEval::kScalar;
-  to_b.device_eval = DeviceEval::kBatch;
-  const TranResult a = transient(c, tech5(), op, to_s);
-  const TranResult b = transient(c, tech5(), op, to_b);
-  ASSERT_TRUE(a.ok) << a.error;
-  ASSERT_TRUE(b.ok) << b.error;
-  EXPECT_EQ(a.time, b.time);
-  EXPECT_EQ(a.states, b.states);
-}
-
-TEST(DeviceEvalGolden, SweepsIdenticalAcrossModesAndJobs) {
-  Circuit c = amp_circuit();
-  const std::vector<double> values = {2.3, 2.4, 2.5, 2.6, 2.7};
-  const auto freqs = num::logspace(1e3, 1e7, 9);
-  TranOptions to;
-  to.tstop = 2e-7;
-  to.dt = 1e-8;
-
-  const AcSweepResult ac_ref = ac_sweep_vsource(
-      c, tech5(), "VIP", values, freqs, with_mode(DeviceEval::kScalar), 1);
-  ASSERT_TRUE(ac_ref.ok) << ac_ref.error;
-  const TranSweepResult tr_ref = tran_sweep_vsource(
-      c, tech5(), "VIP", values, to, with_mode(DeviceEval::kScalar), 1);
-  ASSERT_TRUE(tr_ref.ok) << tr_ref.error;
-
-  for (const std::size_t jobs :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const AcSweepResult ac = ac_sweep_vsource(
-        c, tech5(), "VIP", values, freqs, with_mode(DeviceEval::kBatch),
-        jobs);
-    ASSERT_TRUE(ac.ok) << ac.error;
-    for (std::size_t i = 0; i < ac.points.size(); ++i) {
-      EXPECT_EQ(ac.ops[i].solution, ac_ref.ops[i].solution)
-          << "jobs=" << jobs << " point=" << i;
-      EXPECT_EQ(ac.points[i].solutions, ac_ref.points[i].solutions)
-          << "jobs=" << jobs << " point=" << i;
-    }
-    const TranSweepResult tr = tran_sweep_vsource(
-        c, tech5(), "VIP", values, to, with_mode(DeviceEval::kBatch), jobs);
-    ASSERT_TRUE(tr.ok) << tr.error;
-    for (std::size_t i = 0; i < tr.runs.size(); ++i) {
-      EXPECT_EQ(tr.runs[i].states, tr_ref.runs[i].states)
-          << "jobs=" << jobs << " point=" << i;
-    }
-  }
-}
-
-TEST(DeviceEvalGolden, WarmStartedDcSweepIdenticalUnderBatch) {
-  Circuit c = amp_circuit();
-  const std::vector<double> values = {2.3, 2.4, 2.5, 2.6, 2.7};
-  const DcSweepResult scalar = dc_sweep_vsource(
-      c, tech5(), "VIP", values, with_mode(DeviceEval::kScalar));
-  const DcSweepResult batch = dc_sweep_vsource(
-      c, tech5(), "VIP", values, with_mode(DeviceEval::kBatch));
-  ASSERT_TRUE(scalar.ok) << scalar.error;
-  ASSERT_TRUE(batch.ok) << batch.error;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(batch.points[i].solution, scalar.points[i].solution)
-        << "point=" << i;
   }
 }
 

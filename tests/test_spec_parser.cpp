@@ -69,6 +69,19 @@ TEST(SpecParser, BadValueIsError) {
   EXPECT_FALSE(parse_opamp_spec("cload_pf\n").ok());
 }
 
+TEST(SpecParser, NonFiniteValueIsLineNumberedError) {
+  // strtod reads "nan"; a NaN bound would pass every `<` check downstream.
+  std::string text = to_spec_text(synth::spec_case_a());
+  text.replace(text.find("gain_db     45"), 14, "gain_db nan");
+  const SpecParseResult r = parse_opamp_spec(text);
+  EXPECT_FALSE(r.ok());
+  ASSERT_NE(r.log.first_error(), nullptr);
+  EXPECT_EQ(r.log.first_error()->code, "spec-parse");
+  EXPECT_EQ(r.log.first_error()->message, "line 2: bad value 'nan'");
+  // A finite value that overflows once scaled to SI is rejected too.
+  EXPECT_FALSE(parse_opamp_spec("gbw_mhz 1e303\n").ok());
+}
+
 TEST(SpecParser, ValidationRunsAfterParse) {
   // Parses cleanly but violates spec sanity (no load).
   const SpecParseResult r = parse_opamp_spec("gain_db 60\n");

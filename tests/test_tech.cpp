@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "tech/builtin.h"
 #include "tech/tech_parser.h"
 #include "tech/technology.h"
@@ -146,6 +149,23 @@ TEST(TechParser, KeyOutsideSectionIsError) {
 TEST(TechParser, BadNumberIsError) {
   const ParseResult r = parse_tech("[process]\nvdd_v abc\n");
   EXPECT_FALSE(r.ok());
+}
+
+TEST(TechParser, NonFiniteValueIsLineNumberedError) {
+  // A NaN gamma used to pass validation and abort inside sizing.
+  std::string text = to_tech_text(five_micron());
+  const std::size_t at = text.find("gamma_sqrt_v");
+  const std::size_t eol = text.find('\n', at);
+  text.replace(at, eol - at, "gamma_sqrt_v inf");
+  const int line =
+      1 + static_cast<int>(std::count(text.begin(), text.begin() + at, '\n'));
+  const ParseResult r = parse_tech(text);
+  EXPECT_FALSE(r.ok());
+  ASSERT_NE(r.log.first_error(), nullptr);
+  EXPECT_EQ(r.log.first_error()->code, "tech-parse");
+  EXPECT_EQ(r.log.first_error()->message,
+            "line " + std::to_string(line) +
+                ": cannot parse value 'inf' for key 'gamma_sqrt_v'");
 }
 
 TEST(TechParser, UnknownSectionIsError) {

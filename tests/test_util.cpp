@@ -95,6 +95,14 @@ TEST(Text, ParseDouble) {
   EXPECT_FALSE(parse_double("").has_value());
   EXPECT_FALSE(parse_double("abc").has_value());
   EXPECT_FALSE(parse_double("1.5x").has_value());
+  // Non-finite results are rejected, including overflow to inf.
+  EXPECT_FALSE(parse_double("nan").has_value());
+  EXPECT_FALSE(parse_double("inf").has_value());
+  EXPECT_FALSE(parse_double("-inf").has_value());
+  EXPECT_FALSE(parse_double("1e999").has_value());
+  // Signed zero and subnormals are finite and parse.
+  EXPECT_EQ(*parse_double("-0"), 0.0);
+  EXPECT_GT(*parse_double("1e-320"), 0.0);
 }
 
 TEST(Text, Format) {

@@ -106,9 +106,6 @@ int usage() {
       "  --jobs N        worker threads for synthesis + simulation\n"
       "                  (default: hardware concurrency; 1 = serial;\n"
       "                  results are identical at every setting)\n"
-      "  --device-eval M MOS evaluation path: 'batch' (SoA kernel,\n"
-      "                  default) or 'scalar' (per-device reference);\n"
-      "                  bit-for-bit identical results either way\n"
       "  --tran-mode M   transient integrator: 'fixed' (uniform-step\n"
       "                  reference, default) or 'adaptive' (embedded-error\n"
       "                  step control; tolerance-equal to fixed, not\n"
@@ -230,25 +227,11 @@ bool apply_jobs(const char* v, long* out = nullptr) {
   return true;
 }
 
-// Sets the process-wide MOS device-evaluation path (scalar reference or
-// SoA batch kernel).  The two are bit-for-bit identical, so this is a
-// performance knob only; output never depends on it.
-bool apply_device_eval(const char* v) {
-  oasys::sim::DeviceEval mode = oasys::sim::DeviceEval::kDefault;
-  if (!oasys::sim::parse_device_eval(v, &mode)) {
-    std::fprintf(stderr,
-                 "--device-eval must be 'scalar' or 'batch', got '%s'\n", v);
-    return false;
-  }
-  oasys::sim::set_device_eval_default(mode);
-  return true;
-}
-
-// Sets the process-wide transient stepping strategy.  Unlike
-// --device-eval this is semantically meaningful: adaptive results are
-// tolerance-equal, not bit-equal, to fixed-step, so the resolved mode is
-// also stamped into every SynthOptions (stamp_tran_options) where it
-// enters cache keys and the wire config.
+// Sets the process-wide transient stepping strategy.  This is
+// semantically meaningful: adaptive results are tolerance-equal, not
+// bit-equal, to fixed-step, so the resolved mode is also stamped into
+// every SynthOptions (stamp_tran_options) where it enters cache keys and
+// the wire config.
 bool apply_tran_mode(const char* v) {
   oasys::sim::TranMode mode = oasys::sim::TranMode::kDefault;
   if (!oasys::sim::parse_tran_mode(v, &mode)) {
@@ -559,9 +542,6 @@ int parse_batch_args(int argc, char** argv, bool shard_mode,
     } else if (arg == "--jobs") {
       const char* v = next();
       if (v == nullptr || !apply_jobs(v, &out->jobs)) return usage();
-    } else if (arg == "--device-eval") {
-      const char* v = next();
-      if (v == nullptr || !apply_device_eval(v)) return usage();
     } else if (arg == "--tran-mode") {
       const char* v = next();
       if (v == nullptr || !apply_tran_mode(v)) return usage();
@@ -1101,9 +1081,6 @@ int run_serve_mode(int argc, char** argv, const char* argv0) {
     } else if (arg == "--jobs") {
       const char* v = next();
       if (v == nullptr || !apply_jobs(v)) return usage();
-    } else if (arg == "--device-eval") {
-      const char* v = next();
-      if (v == nullptr || !apply_device_eval(v)) return usage();
     } else if (arg == "--tran-mode") {
       const char* v = next();
       if (v == nullptr || !apply_tran_mode(v)) return usage();
@@ -1252,9 +1229,6 @@ int run_yield_mode(int argc, char** argv) {
     } else if (arg == "--jobs") {
       const char* v = next();
       if (v == nullptr || !apply_jobs(v)) return usage();
-    } else if (arg == "--device-eval") {
-      const char* v = next();
-      if (v == nullptr || !apply_device_eval(v)) return usage();
     } else if (arg == "--tran-mode") {
       const char* v = next();
       if (v == nullptr || !apply_tran_mode(v)) return usage();
@@ -1603,9 +1577,6 @@ int run_golden_mode(int argc, char** argv) {
     } else if (arg == "--jobs") {
       const char* v = next();
       if (v == nullptr || !apply_jobs(v)) return usage();
-    } else if (arg == "--device-eval") {
-      const char* v = next();
-      if (v == nullptr || !apply_device_eval(v)) return usage();
     } else if (arg == "--tran-mode") {
       const char* v = next();
       if (v == nullptr || !apply_tran_mode(v)) return usage();
@@ -1774,9 +1745,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs") {
       const char* v = next();
       if (v == nullptr || !apply_jobs(v)) return usage();
-    } else if (arg == "--device-eval") {
-      const char* v = next();
-      if (v == nullptr || !apply_device_eval(v)) return usage();
     } else if (arg == "--tran-mode") {
       const char* v = next();
       if (v == nullptr || !apply_tran_mode(v)) return usage();
