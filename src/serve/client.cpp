@@ -53,15 +53,13 @@ int connect_unix(const std::string& path) {
 
 }  // namespace
 
-MixedConnectReport run_connected_mixed(
-    const std::string& socket_path, const tech::Technology& tech,
+MixedConnectReport run_session_mixed(
+    int fd, const tech::Technology& tech,
     const synth::SynthOptions& synth_opts,
     const std::vector<yield::Request>& requests) {
   // A daemon that exits mid-conversation must surface as a thrown error,
   // not SIGPIPE; scoped so a caller-installed handler survives.
   const shard::ScopedSigpipeIgnore sigpipe_guard;
-
-  FdCloser sock{connect_unix(socket_path)};
 
   shard::WorkerConfig config;
   config.tech = tech;
@@ -77,7 +75,7 @@ MixedConnectReport run_connected_mixed(
     shard::Writer w;
     shard::put_config(w, config);
     peer_closed =
-        !shard::write_frame(sock.fd, shard::FrameType::kConfig, w.bytes());
+        !shard::write_frame(fd, shard::FrameType::kConfig, w.bytes());
   }
   for (std::size_t i = 0; i < requests.size() && !peer_closed; ++i) {
     shard::Writer w;
@@ -89,13 +87,13 @@ MixedConnectReport run_connected_mixed(
     shard::put_trace_context(
         w, shard::TraceContext{requests[i].trace_id, requests[i].span_id});
     peer_closed = !shard::write_frame(
-        sock.fd,
+        fd,
         requests[i].is_yield ? shard::FrameType::kYieldRequest
                              : shard::FrameType::kRequest,
         w.bytes());
   }
   if (!peer_closed) {
-    peer_closed = !shard::write_frame(sock.fd, shard::FrameType::kRun, {});
+    peer_closed = !shard::write_frame(fd, shard::FrameType::kRun, {});
   }
 
   MixedConnectReport report;
@@ -104,7 +102,7 @@ MixedConnectReport run_connected_mixed(
   bool done = false;
   bool have_metrics = false;
   shard::Frame frame;
-  while (!done && shard::read_frame(sock.fd, &frame)) {
+  while (!done && shard::read_frame(fd, &frame)) {
     switch (frame.type) {
       case shard::FrameType::kError: {
         shard::Reader r(frame.payload);
@@ -181,6 +179,14 @@ MixedConnectReport run_connected_mixed(
     }
   }
   return report;
+}
+
+MixedConnectReport run_connected_mixed(
+    const std::string& socket_path, const tech::Technology& tech,
+    const synth::SynthOptions& synth_opts,
+    const std::vector<yield::Request>& requests) {
+  const FdCloser sock{connect_unix(socket_path)};
+  return run_session_mixed(sock.fd, tech, synth_opts, requests);
 }
 
 ConnectReport run_connected_batch(const std::string& socket_path,

@@ -1,5 +1,7 @@
-// Client half of daemon-mode serving: runs one batch through a running
-// `oasys serve` daemon over its unix-domain socket.
+// Client half of serving: runs one batch through the event loop of
+// serve/server.h — a running `oasys serve` daemon over its unix-domain
+// socket, or an in-process loop over a socketpair (how `oasys shard`
+// runs its batch).
 //
 // The conversation is the shard wire protocol as a session: kConfig
 // (carrying the client's technology/options fingerprints, which the
@@ -54,12 +56,21 @@ struct MixedConnectReport {
   std::vector<shard::SpanSet> worker_spans;
 };
 
-// Connects, runs one mixed synthesis/yield cycle, disconnects.  Each
-// request travels as kRequest or kYieldRequest and is answered by the
-// matching result frame type (a mismatch is a protocol error and
-// throws).  Throws std::runtime_error when the daemon is unreachable,
-// refuses the configuration (kError), or breaks the protocol; per-request
-// failures are ordinary outcomes, never thrown.
+// Runs one mixed synthesis/yield cycle as a session on an open stream
+// `fd` (the caller keeps ownership).  Each request travels as kRequest or
+// kYieldRequest and is answered by the matching result frame type (a
+// mismatch is a protocol error and throws).  Throws std::runtime_error
+// when the loop refuses the configuration (kError), closes the session
+// early, or breaks the protocol; per-request failures are ordinary
+// outcomes, never thrown.
+MixedConnectReport run_session_mixed(
+    int fd, const tech::Technology& tech,
+    const synth::SynthOptions& synth_opts,
+    const std::vector<yield::Request>& requests);
+
+// Connects to a daemon by socket path, runs run_session_mixed,
+// disconnects.  Also throws std::runtime_error when the daemon is
+// unreachable.
 MixedConnectReport run_connected_mixed(
     const std::string& socket_path, const tech::Technology& tech,
     const synth::SynthOptions& synth_opts,

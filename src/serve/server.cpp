@@ -66,13 +66,26 @@ bool flush_buffer(int fd, std::string* buf) {
   return true;
 }
 
-void reap(pid_t pid) {
-  if (pid < 0) return;
+// Returns the raw wait status, or -1 when there is no child to wait for.
+int reap(pid_t pid) {
+  if (pid < 0) return -1;
   int status = 0;
   pid_t r;
   do {
     r = ::waitpid(pid, &status, 0);
   } while (r < 0 && errno == EINTR);
+  return r < 0 ? -1 : status;
+}
+
+std::string describe_exit(int status) {
+  if (status < 0) return "could not be waited for";
+  if (WIFEXITED(status)) {
+    return util::format("exited with status %d", WEXITSTATUS(status));
+  }
+  if (WIFSIGNALED(status)) {
+    return util::format("killed by signal %d", WTERMSIG(status));
+  }
+  return util::format("ended with raw wait status %d", status);
 }
 
 }  // namespace
@@ -89,6 +102,9 @@ class ServerLoop {
         opts_canon_(synth::canonical_string(server.synth_opts_)),
         key_prefix_(tech_canon_ + "|" + opts_canon_ + "|"),
         shared_cache_(options_.shared_cache_capacity) {}
+  ~ServerLoop();
+  ServerLoop(const ServerLoop&) = delete;
+  ServerLoop& operator=(const ServerLoop&) = delete;
 
   int run();
 
@@ -114,6 +130,7 @@ class ServerLoop {
     double respawn_at = 0.0;  // meaningful while !alive && !retired
     std::uint64_t served = 0;        // results returned, all incarnations
     std::uint64_t respawn_count = 0;  // times this shard was respawned
+    WorkerRecord record;  // first failure, latest service counters
   };
 
   // Specs being accumulated for one worker between a session's kConfig
@@ -172,8 +189,12 @@ class ServerLoop {
 
   std::string config_frame_bytes(std::size_t shard_index) const;
   void make_listener();
+  void add_session(int fd);
   void spawn(std::size_t i, bool respawn);
-  void worker_gone(std::size_t i, bool timed_out, bool clean);
+  // `why` (empty for a plain EOF) prefixes the failure the slot records
+  // when the incarnation did not end cleanly.
+  void worker_gone(std::size_t i, bool timed_out, bool clean,
+                   const std::string& why = {});
   void fail_worker_cycles(std::size_t i, bool timed_out);
   void handle_worker_frame(std::size_t i, const shard::Frame& frame);
   void accept_clients();
@@ -250,6 +271,28 @@ void ServerLoop::make_listener() {
   listener_fd_ = fd;
 }
 
+ServerLoop::~ServerLoop() {
+  // A no-op after a clean drain.  After a throw it releases what is left,
+  // so an adopted session's peer sees EOF instead of waiting forever.
+  close_fd(listener_fd_);
+  for (auto& [id, s] : sessions_) close_fd(s.fd);
+  for (Worker& wk : workers_) {
+    close_fd(wk.to_fd);
+    close_fd(wk.from_fd);
+    if (wk.pid > 0) ::kill(wk.pid, SIGKILL);
+    reap(wk.pid);
+  }
+}
+
+void ServerLoop::add_session(int fd) {
+  set_nonblocking(fd);
+  Session s;
+  s.id = next_session_id_++;
+  s.fd = fd;
+  sessions_.emplace(s.id, std::move(s));
+  bump([](ServeStats& st) { ++st.sessions; });
+}
+
 void ServerLoop::spawn(std::size_t i, bool respawn) {
   Worker& wk = workers_[i];
   const shard::SpawnedWorker s =
@@ -274,11 +317,13 @@ void ServerLoop::spawn(std::size_t i, bool respawn) {
 
 void ServerLoop::fail_worker_cycles(std::size_t i, bool timed_out) {
   Worker& wk = workers_[i];
+  // No pids, no exit statuses: the text is stable run to run (the slot's
+  // WorkerRecord carries the forensic detail).  A wedge-kill reads apart
+  // from a crash so operators can tell the two.
   const std::string text = util::format(
-      timed_out ? "serve worker %zu timed out before returning a result "
-                  "for this spec"
-                : "serve worker %zu died before returning a result for "
-                  "this spec",
+      timed_out ? "worker %zu timed out before returning a result for this "
+                  "spec"
+                : "worker %zu died before returning a result for this spec",
       i);
   for (Cycle& c : wk.cycles) {
     Session* s = find_session(c.session_id);
@@ -299,11 +344,20 @@ void ServerLoop::fail_worker_cycles(std::size_t i, bool timed_out) {
   wk.cycles.clear();
 }
 
-void ServerLoop::worker_gone(std::size_t i, bool timed_out, bool clean) {
+void ServerLoop::worker_gone(std::size_t i, bool timed_out, bool clean,
+                             const std::string& why) {
   Worker& wk = workers_[i];
   close_fd(wk.to_fd);
   close_fd(wk.from_fd);
-  reap(wk.pid);
+  const int status = reap(wk.pid);
+  const bool exit_0 = status >= 0 && WIFEXITED(status) &&
+                      WEXITSTATUS(status) == 0;
+  if ((!clean || !exit_0) && wk.record.error.empty()) {
+    wk.record.error =
+        util::format("worker %zu %s", i, describe_exit(status).c_str());
+    if (!why.empty()) wk.record.error += " after it " + why;
+    wk.record.timed_out = timed_out;
+  }
   wk.pid = -1;
   wk.alive = false;
   wk.deadline = 0.0;
@@ -373,13 +427,25 @@ void ServerLoop::handle_worker_frame(std::size_t i,
     }
     case shard::FrameType::kSpans: {
       // Worker trace flushes belong to the front cycle's session; forward
-      // verbatim so partial span sets from a worker that later dies still
-      // reach the client (the failure-window guarantee).
+      // them at once so partial span sets from a worker that later dies
+      // still reach the client (the failure-window guarantee).
       if (wk.cycles.empty()) {
         throw shard::WireError("kSpans with no cycle in flight");
       }
+      shard::Reader r(frame.payload);
+      shard::SpanSet set = shard::get_span_set(r);
+      r.expect_end();
+      // Receive markers carry the worker's sequence ids; re-index them by
+      // the client's submission index, the index its span ids derive from.
+      for (obs::TraceEvent& e : set.events) {
+        if (e.name != "request.recv") continue;
+        const auto it = pending_.find(e.index);
+        if (it != pending_.end()) e.index = it->second.client_seq;
+      }
       if (Session* s = find_session(wk.cycles.front().session_id)) {
-        s->out_buf += shard::frame_bytes(frame.type, frame.payload);
+        shard::Writer w;
+        shard::put_span_set(w, set);
+        s->out_buf += shard::frame_bytes(frame.type, w.bytes());
       }
       break;
     }
@@ -391,6 +457,7 @@ void ServerLoop::handle_worker_frame(std::size_t i,
       obs::MetricsSnapshot snap = shard::get_metrics_snapshot(r);
       const service::ServiceStats stats = shard::get_service_stats(r);
       r.expect_end();
+      wk.record.stats = stats;
       if (Session* s = find_session(wk.cycles.front().session_id)) {
         s->snaps.push_back(std::move(snap));
         s->wstats.push_back(stats);
@@ -414,9 +481,8 @@ void ServerLoop::handle_worker_frame(std::size_t i,
         if (it == pending_.end()) continue;
         if (s != nullptr) {
           error_result(*s, it->second.client_seq, it->second.is_yield,
-                       util::format("serve worker %zu completed a cycle "
-                                    "without returning a result for this "
-                                    "spec",
+                       util::format("worker %zu completed a cycle without "
+                                    "returning a result for this spec",
                                     i));
           bump([](ServeStats& st) { ++st.worker_errors; });
         }
@@ -444,11 +510,7 @@ void ServerLoop::accept_clients() {
       if (errno == EINTR) continue;
       return;  // EAGAIN, or a transient accept failure: poll again
     }
-    Session s;
-    s.id = next_session_id_++;
-    s.fd = fd;
-    sessions_.emplace(s.id, std::move(s));
-    bump([](ServeStats& st) { ++st.sessions; });
+    add_session(fd);
   }
 }
 
@@ -459,6 +521,8 @@ void ServerLoop::close_session(std::uint64_t id) {
   // Pending specs keep computing (and populating the shared cache); their
   // results find no session and are dropped.
   sessions_.erase(it);
+  // Without a listener no session can arrive after the last one closes.
+  if (listener_fd_ < 0 && sessions_.empty()) begin_drain();
 }
 
 void ServerLoop::session_error(Session& s, const std::string& msg) {
@@ -736,8 +800,10 @@ void ServerLoop::begin_drain() {
   if (draining_) return;
   draining_ = true;
   drain_start_ = now_s();
-  close_fd(listener_fd_);
-  ::unlink(options_.socket_path.c_str());
+  if (listener_fd_ >= 0) {
+    close_fd(listener_fd_);
+    ::unlink(options_.socket_path.c_str());
+  }
   // Sessions with a dispatched cycle get their answers first — left
   // untouched here, maybe_complete closes them once the full answer is
   // buffered.  Everything idle or mid-upload closes now (drain finishes
@@ -762,7 +828,11 @@ int ServerLoop::run() {
   // scoped so an embedding application's handler survives.
   const shard::ScopedSigpipeIgnore sigpipe_guard;
 
-  make_listener();
+  if (server_.adopted_fd_ >= 0) {
+    add_session(std::exchange(server_.adopted_fd_, -1));
+  } else {
+    make_listener();
+  }
   start_time_ = now_s();
   workers_.resize(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
@@ -872,7 +942,7 @@ int ServerLoop::run() {
             if (fds[n].fd == wk.to_fd) {
               if (!flush_buffer(wk.to_fd, &wk.out_buf)) {
                 worker_gone(row.index, /*timed_out=*/false,
-                            /*clean=*/false);
+                            /*clean=*/false, "stopped reading its input");
               }
               break;
             }
@@ -887,10 +957,11 @@ int ServerLoop::run() {
                 while (wk.alive && wk.decoder.next(&frame)) {
                   handle_worker_frame(row.index, frame);
                 }
-              } catch (const shard::WireError&) {
+              } catch (const shard::WireError& e) {
                 ::kill(wk.pid, SIGKILL);
                 worker_gone(row.index, /*timed_out=*/false,
-                            /*clean=*/false);
+                            /*clean=*/false,
+                            std::string("broke the protocol: ") + e.what());
               }
             } else if (nread == 0 ||
                        (nread < 0 && errno != EAGAIN &&
@@ -951,7 +1022,10 @@ int ServerLoop::run() {
           now >= wk.deadline) {
         ::kill(wk.pid, SIGKILL);
         bump([](ServeStats& st) { ++st.worker_timeouts; });
-        worker_gone(i, /*timed_out=*/true, /*clean=*/false);
+        worker_gone(i, /*timed_out=*/true, /*clean=*/false,
+                    util::format("produced no frame within its %.3g s "
+                                 "deadline",
+                                 options_.worker_timeout_s));
         continue;
       }
       if (!wk.alive && !wk.retired && now >= wk.respawn_at &&
@@ -974,33 +1048,42 @@ int ServerLoop::run() {
 
   const double drain_s = now_s() - drain_start_;
   bump([drain_s](ServeStats& st) { st.drain_seconds = drain_s; });
+  std::vector<WorkerRecord> records;
+  for (const Worker& wk : workers_) records.push_back(wk.record);
+  {
+    std::lock_guard<std::mutex> lock(server_.stats_mu_);
+    server_.records_ = std::move(records);
+  }
   return 0;
 }
 
 Server::Server(tech::Technology tech, synth::SynthOptions synth_opts,
-               ServeOptions options)
+               ServeOptions options, int session_fd)
     : tech_(std::move(tech)),
       synth_opts_(synth_opts),
-      options_(std::move(options)) {
-  if (options_.workers == 0) {
-    throw std::invalid_argument("serve: workers must be >= 1");
-  }
-  if (options_.worker_command.empty()) {
-    throw std::invalid_argument("serve: worker_command must be set");
-  }
-  if (options_.socket_path.empty()) {
-    throw std::invalid_argument("serve: socket_path must be set");
-  }
+      options_(std::move(options)),
+      adopted_fd_(session_fd) {
+  // The session fd is ours even when construction fails.
+  const auto reject = [this](const std::string& why) {
+    close_fd(adopted_fd_);
+    throw std::invalid_argument("serve: " + why);
+  };
+  if (options_.workers == 0) reject("workers must be >= 1");
+  if (options_.worker_command.empty()) reject("worker_command must be set");
   sockaddr_un probe{};
-  if (options_.socket_path.size() + 1 > sizeof(probe.sun_path)) {
-    throw std::invalid_argument(
-        util::format("serve: socket path '%s' exceeds the %zu-byte "
-                     "sockaddr_un limit",
-                     options_.socket_path.c_str(),
-                     sizeof(probe.sun_path) - 1));
+  if (adopted_fd_ < 0 && options_.socket_path.empty()) {
+    reject("socket_path must be set");
+  }
+  if (adopted_fd_ < 0 &&
+      options_.socket_path.size() + 1 > sizeof(probe.sun_path)) {
+    reject(util::format("socket path '%s' exceeds the %zu-byte sockaddr_un "
+                        "limit",
+                        options_.socket_path.c_str(),
+                        sizeof(probe.sun_path) - 1));
   }
   int pipe_fds[2] = {-1, -1};
   if (::pipe(pipe_fds) != 0) {
+    close_fd(adopted_fd_);
     throw std::runtime_error("serve: pipe() failed");
   }
   wake_read_fd_ = pipe_fds[0];
@@ -1014,6 +1097,7 @@ Server::Server(tech::Technology tech, synth::SynthOptions synth_opts,
 Server::~Server() {
   close_fd(wake_read_fd_);
   close_fd(wake_write_fd_);
+  close_fd(adopted_fd_);
 }
 
 int Server::run() {
@@ -1030,6 +1114,11 @@ void Server::request_stop() {
 ServeStats Server::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
+}
+
+std::vector<WorkerRecord> Server::worker_records() const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return records_;
 }
 
 }  // namespace oasys::serve

@@ -1,16 +1,17 @@
-// Daemon-mode serving: a persistent coordinator with a resident worker
-// pool.
+// The one coordinator: a poll(2) event loop with a resident worker pool.
 //
-// `oasys shard` pays one fork+exec fleet per batch, so at interactive
-// batch sizes the spawn cost swamps the synthesis cost (see
-// BENCH_shard_perf.json).  The Server keeps `oasys shard-worker
-// --session` processes resident across requests: clients connect to a
-// unix-domain socket, speak the shard wire frames as a session protocol
-// (kConfig once, then repeated kRequest*..kRun -> kResult*..kMetrics..
-// kDone cycles), and their specs route to the same worker a local
-// `oasys shard` run would pick — the canonical-fingerprint routing rule
-// is shared, so per-worker caches stay exact and results stay
-// byte-identical to `oasys batch` at every worker count.
+// Both serving modes run on it.  `oasys serve` is a persistent daemon:
+// clients connect to a unix-domain socket and the pool stays warm across
+// their requests.  `oasys shard` (shard::run_sharded_requests) runs its
+// batch as the single session of an in-process loop with no listener:
+// the session is one end of a socketpair, the shared tier is off, and
+// the loop drains as soon as that session closes.  Workers are `oasys
+// shard-worker --session` processes.  Sessions speak the shard wire
+// frames as a session protocol (kConfig once, then repeated
+// kRequest*..kRun -> kResult*..kMetrics..kDone cycles), and each spec
+// routes to a worker by the canonical-fingerprint rule (shard::route),
+// so per-worker caches stay exact and results stay byte-identical to
+// `oasys batch` at every worker count.
 //
 // Cache tiers.  Each worker keeps its private LRU warm across requests
 // (that is the point of residence); above it the coordinator owns a
@@ -22,27 +23,32 @@
 // their parameters), so a shared-tier hit replays the identical payload
 // a worker would have produced.
 //
-// Fault model.  The event loop is poll(2)-based and single-threaded;
-// every fd is non-blocking and every write is buffered, so no peer can
-// wedge the coordinator.  A worker that dies mid-cycle has its in-flight
-// specs answered with deterministic per-spec errors and is respawned
-// with exponential backoff; a worker that is alive but silent past the
-// per-worker read deadline (worker_timeout_s) is killed and handled the
-// same way — a request can fail, but it can never hang.  Respawns,
-// timeouts, shared-cache traffic, and drain time are exported as
-// `serve.*` metrics in every client's merged kMetrics frame.
+// Fault model.  The event loop is single-threaded; every fd is
+// non-blocking and every write is buffered, so no peer can wedge the
+// coordinator.  A worker that dies mid-cycle has its in-flight specs
+// answered with deterministic per-spec errors ("worker <i> died before
+// returning a result for this spec") and is respawned with exponential
+// backoff; a worker that is alive but silent past the per-worker read
+// deadline (worker_timeout_s) is killed and handled the same way ("...
+// timed out before returning ...") — a request can fail, but it can
+// never hang.  Each pool slot keeps its first abnormal end, with the
+// decoded exit status, as a WorkerRecord.  Respawns, timeouts,
+// shared-cache traffic, and drain time are exported as `serve.*` metrics
+// in every client's merged kMetrics frame.
 //
 // Drain.  request_stop() (async-signal-safe; the CLI points SIGTERM at
 // it) closes the listener, lets in-flight cycles finish and answer,
 // closes idle sessions, sends every worker EOF at a cycle boundary (a
 // session worker exits 0 there), reaps the pool, and returns 0 from
-// run().
+// run().  Without a listener the close of the last session starts the
+// same drain.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "service/service.h"
 #include "synth/oasys.h"
@@ -96,22 +102,39 @@ struct ServeStats {
   double drain_seconds = 0.0;            // stop request -> loop exit
 };
 
+// How one pool slot fared over a run(), for in-process callers once run()
+// returns (run_sharded_requests reports one per worker).
+struct WorkerRecord {
+  // First abnormal end of any incarnation, naming the decoded exit
+  // ("worker 1 exited with status 57", "worker 0 killed by signal 9 after
+  // it produced no frame within its 1 s deadline"); empty when every
+  // incarnation ended cleanly.
+  std::string error;
+  bool timed_out = false;       // that end was a deadline kill
+  service::ServiceStats stats;  // from the slot's latest kMetrics frame
+};
+
 class Server {
  public:
-  // Validates options (workers >= 1, non-empty socket path and worker
-  // command, path short enough for sockaddr_un) and creates the
-  // self-pipe request_stop() writes to.  Throws std::invalid_argument
-  // on bad options, std::runtime_error on pipe failure.  The socket is
-  // not bound until run().
+  // Validates options and creates the self-pipe request_stop() writes
+  // to.  With session_fd < 0 the Server is a daemon: options.socket_path
+  // must be set and fit sockaddr_un, and run() binds it.  Otherwise
+  // session_fd (one end of a socketpair, owned by the Server from here
+  // on) is the in-process loop's only session: no listener, no socket
+  // file, socket_path ignored, and run() drains once its peer closes.
+  // Throws std::invalid_argument on bad options, std::runtime_error on
+  // pipe failure.
   Server(tech::Technology tech, synth::SynthOptions synth_opts,
-         ServeOptions options);
+         ServeOptions options, int session_fd = -1);
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds the socket, spawns the pool, and serves until request_stop().
-  // Returns 0 after a clean drain; throws std::runtime_error when the
-  // socket cannot be bound.  Call at most once.
+  // Binds the socket (or adopts the in-process session), spawns the pool,
+  // and serves until request_stop() or, in-process, until the session
+  // closes.  Returns 0 after a clean drain; throws std::runtime_error
+  // when the socket cannot be bound or a worker cannot be spawned.  Call
+  // at most once.
   int run();
 
   // Requests a graceful drain.  Async-signal-safe (one write(2) to the
@@ -120,6 +143,9 @@ class Server {
 
   // Counter snapshot; any thread, any time.
   ServeStats stats() const;
+
+  // One record per pool slot, filled when run() returns; empty before.
+  std::vector<WorkerRecord> worker_records() const;
 
   const ServeOptions& options() const { return options_; }
 
@@ -132,9 +158,11 @@ class Server {
 
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
+  int adopted_fd_ = -1;  // in-process session until run() takes it
 
   mutable std::mutex stats_mu_;
   ServeStats stats_;
+  std::vector<WorkerRecord> records_;
 };
 
 }  // namespace oasys::serve

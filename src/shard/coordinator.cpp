@@ -1,18 +1,22 @@
 #include "shard/coordinator.h"
 
 #include <fcntl.h>
-#include <sys/wait.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "obs/span.h"
+#include "serve/client.h"
+#include "serve/server.h"
 #include "shard/wire.h"
 #include "synth/opamp_design.h"
 #include "util/fingerprint.h"
@@ -21,20 +25,6 @@
 namespace oasys::shard {
 
 namespace {
-
-struct WorkerProc {
-  pid_t pid = -1;
-  int to_fd = -1;    // coordinator -> worker stdin
-  int from_fd = -1;  // worker stdout -> coordinator
-  bool write_ok = true;
-};
-
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
-}
 
 // Parent-held pipe ends must not leak into later-spawned workers: a sibling
 // holding the write end of a crashed worker's stdout would keep the
@@ -114,29 +104,6 @@ SpawnedWorker spawn_worker_process(const std::string& command,
   return p;
 }
 
-namespace {
-
-WorkerProc spawn_worker(const std::string& command) {
-  const SpawnedWorker s = spawn_worker_process(command, /*session=*/false);
-  WorkerProc p;
-  p.pid = s.pid;
-  p.to_fd = s.to_fd;
-  p.from_fd = s.from_fd;
-  return p;
-}
-
-std::string describe_exit(int status) {
-  if (WIFEXITED(status)) {
-    return util::format("exited with status %d", WEXITSTATUS(status));
-  }
-  if (WIFSIGNALED(status)) {
-    return util::format("killed by signal %d", WTERMSIG(status));
-  }
-  return util::format("ended with raw wait status %d", status);
-}
-
-}  // namespace
-
 bool ShardReport::infra_ok() const {
   for (const WorkerSummary& w : workers) {
     if (!w.ok()) return false;
@@ -159,224 +126,93 @@ ShardReport run_sharded_requests(const tech::Technology& tech,
     throw std::invalid_argument("shard: worker_command must be set");
   }
   OBS_SPAN("shard/run_sharded_batch");
-  // A worker that dies mid-send must surface as write_frame returning
-  // false, not as SIGPIPE killing the coordinator.  Scoped: this is a
-  // library entry point, so the embedding application's handler is
-  // restored on every exit path.
+  // Scoped over the whole run, loop thread included: the embedding
+  // application's handler is restored only after that thread is joined.
   const ScopedSigpipeIgnore sigpipe_guard;
 
-  const std::string tech_canon = tech.canonical_string();
-  const std::string opts_canon = synth::canonical_string(synth_opts);
-  // Must build the same bytes as SynthesisService::request_key, or routing
-  // would stop co-locating identical requests.
-  const std::string key_prefix = tech_canon + "|" + opts_canon + "|";
+  // Must build the same bytes as SynthesisService::request_key, or the
+  // reported shards would not be where the loop routed each request.
+  const std::string key_prefix = tech.canonical_string() + "|" +
+                                 synth::canonical_string(synth_opts) + "|";
 
   ShardReport report;
   report.outcomes.resize(requests.size());
   report.workers.resize(options.workers);
-
-  std::vector<WorkerProc> procs;
-  procs.reserve(options.workers);
   for (std::size_t i = 0; i < options.workers; ++i) {
-    procs.push_back(spawn_worker(options.worker_command));
     report.workers[i].shard = i;
-    report.workers[i].pid = static_cast<long>(procs[i].pid);
   }
-
-  const auto send = [&](std::size_t i, FrameType type,
-                        std::string_view payload) {
-    if (!procs[i].write_ok) return;
-    if (!write_frame(procs[i].to_fd, type, payload)) {
-      procs[i].write_ok = false;
-    }
-  };
-
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    WorkerConfig config;
-    config.shard = i;
-    config.tech = tech;
-    config.synth = synth_opts;
-    config.service = options.service;
-    config.tech_hash = util::fnv1a64(tech_canon);
-    config.opts_hash = util::fnv1a64(opts_canon);
-    Writer w;
-    put_config(w, config);
-    send(i, FrameType::kConfig, w.bytes());
-  }
-
-  // Route every request in global submission order; workers see their
-  // subsequence in that same order, which is what makes per-shard cache
-  // and dedup behavior independent of the worker count.  Yield requests
-  // route by the same plain spec key as syntheses — deliberately ignoring
-  // the yield params — so both traffic kinds for one spec co-locate.
-  std::vector<std::size_t> spec_shard(requests.size(), 0);
+  std::vector<yield::Request> session = requests;
   for (std::size_t s = 0; s < requests.size(); ++s) {
     const std::size_t i = route(
         key_prefix + requests[s].spec.canonical_string(), options.workers);
-    spec_shard[s] = i;
     report.outcomes[s].shard = i;
     report.outcomes[s].is_yield = requests[s].is_yield;
     ++report.workers[i].requests;
-    TraceContext ctx;
     if (options.trace_id != 0) {
-      ctx.trace_id = options.trace_id;
-      ctx.span_id = obs::span_id_for(options.trace_id, s);
-      const obs::ScopedTraceContext scoped(ctx.trace_id, ctx.span_id);
+      session[s].trace_id = options.trace_id;
+      session[s].span_id = obs::span_id_for(options.trace_id, s);
+      const obs::ScopedTraceContext scoped(session[s].trace_id,
+                                           session[s].span_id);
       obs::emit_instant("request.route", requests[s].spec.name,
                         requests[s].is_yield ? "yield" : "synth",
                         util::format("shard %zu", i), s);
     }
-    Writer w;
-    w.u64(s);
-    put_spec(w, requests[s].spec);
-    if (requests[s].is_yield) {
-      put_yield_params(w, requests[s].params);
-      put_trace_context(w, ctx);
-      send(i, FrameType::kYieldRequest, w.bytes());
-    } else {
-      put_trace_context(w, ctx);
-      send(i, FrameType::kRequest, w.bytes());
-    }
   }
 
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    send(i, FrameType::kRun, {});
-    // Nothing more flows downstream; EOF here also bounds a worker that
-    // never got a complete kRun (it reads EOF and exits with an error).
-    close_fd(procs[i].to_fd);
+  serve::ServeOptions serve_opts;
+  serve_opts.workers = options.workers;
+  serve_opts.worker_command = options.worker_command;
+  serve_opts.service = options.service;
+  serve_opts.worker_timeout_s = options.worker_timeout_s;
+  serve_opts.shared_cache_capacity = 0;
+  // CLOEXEC: a worker inheriting either end would hold the session open.
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    throw std::runtime_error("shard: socketpair() failed");
   }
-
-  // Collect worker by worker.  Workers compute concurrently regardless of
-  // read order — a not-yet-read worker parks on its full stdout pipe at
-  // worst — and there is no circular wait: the coordinator always drains
-  // the worker it is blocked on.
-  std::vector<obs::MetricsSnapshot> worker_snaps(options.workers);
-  std::vector<bool> have_snap(options.workers, false);
-  std::vector<bool> have_result(requests.size(), false);
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    WorkerSummary& ws = report.workers[i];
-    bool done = false;
-    try {
-      Frame frame;
-      FrameDecoder decoder;
-      // With a deadline, a worker that stops producing frames (alive but
-      // wedged) is killed and reported; read_frame alone would block the
-      // coordinator forever.
-      const auto next_frame = [&]() -> bool {
-        if (options.worker_timeout_s <= 0.0) {
-          return read_frame(procs[i].from_fd, &frame);
-        }
-        const int rc = read_frame_deadline(procs[i].from_fd, decoder,
-                                           &frame,
-                                           options.worker_timeout_s);
-        if (rc < 0) {
-          ::kill(procs[i].pid, SIGKILL);
-          ws.timed_out = true;
-          // The catch below prefixes "worker %zu: ".
-          throw WireError(util::format(
-              "produced no frame within its %.3g s deadline and was "
-              "killed",
-              options.worker_timeout_s));
-        }
-        return rc == 1;
-      };
-      while (!done && next_frame()) {
-        switch (frame.type) {
-          case FrameType::kResult:
-          case FrameType::kYieldResult: {
-            Reader r(frame.payload);
-            const std::uint64_t seq = r.u64();
-            if (seq >= requests.size() || spec_shard[seq] != i ||
-                have_result[seq]) {
-              throw WireError(util::format(
-                  "worker %zu sent an unexpected sequence id %llu", i,
-                  static_cast<unsigned long long>(seq)));
-            }
-            ShardOutcome& o = report.outcomes[seq];
-            // A result frame of the wrong kind is protocol desync, not a
-            // recoverable outcome.
-            if (o.is_yield != (frame.type == FrameType::kYieldResult)) {
-              throw WireError(util::format(
-                  "worker %zu answered sequence id %llu with the wrong "
-                  "result kind",
-                  i, static_cast<unsigned long long>(seq)));
-            }
-            const bool result_ok = r.boolean();
-            if (!result_ok) {
-              o.error = r.str();
-              if (o.error.empty()) o.error = "unspecified worker error";
-            } else if (o.is_yield) {
-              o.yield = get_yield_result(r);
-            } else {
-              o.result = get_result(r);
-            }
-            r.expect_end();
-            have_result[seq] = true;
-            break;
-          }
-          case FrameType::kSpans: {
-            Reader r(frame.payload);
-            SpanSet set = get_span_set(r);
-            r.expect_end();
-            if (set.shard != i) {
-              throw WireError(util::format(
-                  "worker %zu sent a span set claiming shard %llu", i,
-                  static_cast<unsigned long long>(set.shard)));
-            }
-            report.worker_spans.push_back(std::move(set));
-            break;
-          }
-          case FrameType::kMetrics: {
-            Reader r(frame.payload);
-            worker_snaps[i] = get_metrics_snapshot(r);
-            ws.stats = get_service_stats(r);
-            r.expect_end();
-            have_snap[i] = true;
-            break;
-          }
-          case FrameType::kDone: {
-            Reader r(frame.payload);
-            r.expect_end();
-            done = true;
-            break;
-          }
-          default:
-            throw WireError(
-                util::format("worker %zu sent unexpected frame type %u", i,
-                             static_cast<unsigned>(frame.type)));
-        }
+  std::unique_ptr<serve::Server> server;  // owns fds[0]
+  std::exception_ptr loop_error;
+  std::thread loop;
+  try {
+    server = std::make_unique<serve::Server>(tech, synth_opts, serve_opts,
+                                             fds[0]);
+    loop = std::thread([&server, &loop_error] {
+      try {
+        server->run();
+      } catch (...) {
+        loop_error = std::current_exception();
       }
-      if (done && have_snap[i]) {
-        ws.protocol_ok = true;
-      } else if (ws.error.empty()) {
-        ws.error = util::format(
-            "worker %zu closed its pipe before completing the protocol", i);
-      }
-    } catch (const WireError& e) {
-      ws.error = util::format("worker %zu: %s", i, e.what());
-    }
-    close_fd(procs[i].from_fd);
+    });
+  } catch (...) {
+    ::close(fds[1]);
+    throw;
   }
+  serve::MixedConnectReport mixed;
+  std::exception_ptr session_error;
+  try {
+    mixed = serve::run_session_mixed(fds[1], tech, synth_opts, session);
+  } catch (...) {
+    session_error = std::current_exception();
+  }
+  // Closing our end is the loop's drain signal: it answers nothing more,
+  // sends every worker EOF at its cycle boundary, and reaps the pool.
+  ::close(fds[1]);
+  loop.join();
+  if (loop_error) std::rethrow_exception(loop_error);
+  if (session_error) std::rethrow_exception(session_error);
 
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    WorkerSummary& ws = report.workers[i];
-    int status = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(procs[i].pid, &status, 0);
-    } while (r < 0 && errno == EINTR);
-    if (r < 0) {
-      if (ws.error.empty()) {
-        ws.error = util::format("worker %zu: waitpid failed", i);
-      }
-      continue;
-    }
-    ws.exit_status = status;
-    if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0) &&
-        ws.error.empty()) {
-      ws.error =
-          util::format("worker %zu %s", i, describe_exit(status).c_str());
-    }
+  for (std::size_t s = 0; s < requests.size(); ++s) {
+    ShardOutcome& o = report.outcomes[s];
+    o.result = std::move(mixed.outcomes[s].result);
+    o.yield = std::move(mixed.outcomes[s].yield);
+    o.error = std::move(mixed.outcomes[s].error);
+  }
+  report.worker_spans = std::move(mixed.worker_spans);
+  const std::vector<serve::WorkerRecord> records = server->worker_records();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    report.workers[i].error = records[i].error;
+    report.workers[i].timed_out = records[i].timed_out;
+    report.workers[i].stats = records[i].stats;
   }
 
   // Worker failures become timeline instants so the merged trace shows
@@ -392,39 +228,11 @@ ShardReport run_sharded_requests(const tech::Technology& tech,
     }
   }
 
-  // Deterministic per-spec errors for everything a dead worker never
-  // returned: no pids, no exit statuses, so the text is stable run-to-run
-  // (the WorkerSummary carries the forensic detail).  Wedged-and-killed
-  // workers get their own text so operators can tell a crash from a hang.
-  for (std::size_t s = 0; s < requests.size(); ++s) {
-    if (have_result[s] || !report.outcomes[s].error.empty()) continue;
-    report.outcomes[s].error =
-        report.workers[spec_shard[s]].timed_out
-            ? util::format("shard worker %zu timed out before returning a "
-                           "result for this spec",
-                           spec_shard[s])
-            : util::format("shard worker %zu died before returning a "
-                           "result for this spec",
-                           spec_shard[s]);
-  }
-
-  std::vector<obs::MetricsSnapshot> parts;
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    if (have_snap[i]) parts.push_back(worker_snaps[i]);
-  }
-  obs::MetricsSnapshot merged = obs::merge_snapshots(parts);
-  // exec.regions counts parallel_for invocations — one batch drain per
-  // worker — so it is the one deterministic counter whose merged total
-  // varies with the worker count.  Reflag it; every other entry in the
-  // deterministic section is worker-count-invariant.
-  for (obs::MetricEntry& e : merged.entries) {
-    if (e.name == "exec.regions") e.deterministic = false;
-  }
   // Per-shard telemetry lives in the timing section by construction: the
   // split of one workload across k caches depends on k.
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    const WorkerSummary& ws = report.workers[i];
-    const std::string prefix = util::format("shard.%zu.", i);
+  obs::MetricsSnapshot merged = std::move(mixed.metrics);
+  for (const WorkerSummary& ws : report.workers) {
+    const std::string prefix = util::format("shard.%zu.", ws.shard);
     const auto counter = [&](const char* name, std::uint64_t v) {
       obs::MetricEntry e;
       e.name = prefix + name;
@@ -438,15 +246,6 @@ ShardReport run_sharded_requests(const tech::Technology& tech,
     counter("misses", ws.stats.misses);
     counter("dedup_joins", ws.stats.dedup_joins);
     counter("evictions", ws.stats.evictions);
-    if (have_snap[i]) {
-      if (const obs::MetricEntry* lat =
-              worker_snaps[i].find("service.latency_seconds")) {
-        obs::MetricEntry e = *lat;
-        e.name = prefix + "latency_seconds";
-        e.deterministic = false;
-        merged.entries.push_back(std::move(e));
-      }
-    }
   }
   std::sort(merged.entries.begin(), merged.entries.end(),
             [](const obs::MetricEntry& a, const obs::MetricEntry& b) {

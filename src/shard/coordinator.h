@@ -1,25 +1,25 @@
 // Coordinator half of cross-process sharded serving.
 //
-// run_sharded_batch partitions a batch of specs across N worker processes
-// by canonical request key: the same (technology, options, spec)
-// fingerprint the service layer caches under, finalized through
+// run_sharded_requests partitions a batch of specs across N worker
+// processes by canonical request key: the same (technology, options,
+// spec) fingerprint the service layer caches under, finalized through
 // util::mix64 and reduced modulo the worker count.  Identical requests
 // therefore always co-locate — each worker's private LRU cache sees
-// exactly the hits, misses, and dedup joins the key stream implies, with
-// no cross-process locks and no shared state beyond the pipes.
+// exactly the hits, misses, and dedup joins the key stream implies.
 //
-// Determinism contract: outcomes are merged in global submission order,
+// It is a thin wrapper over the one coordinator, serve/server.h: the
+// batch runs as the only session of an in-process event loop (no
+// listener; the shared tier off), which drains and reaps the pool when
+// the session ends.  So `oasys shard` and `oasys serve` share one routing
+// rule, one worker loop, and one fault model: a worker that dies or
+// wedges yields deterministic per-spec errors, never a hang, and
+// ShardReport::infra_ok() goes false.
+//
+// Determinism contract: outcomes come back in global submission order,
 // and each ok() outcome is bit-for-bit what a single SynthesisService
 // (and therefore a direct synthesize_opamp call) returns for that spec —
 // at every worker count.  The conformance suite pins `oasys shard
 // --workers k` stdout byte-identical to `oasys batch` for k in {1,2,4}.
-//
-// Fault model: a worker that dies mid-batch (crash, kill, malformed
-// frame) never hangs the coordinator and never masquerades as success —
-// its unreturned specs get deterministic per-spec errors, its summary
-// records the decoded exit status, and ShardReport::infra_ok() goes
-// false.  Workers are spawned fork+exec (`<worker_command> shard-worker`)
-// rather than bare fork so sanitizer runtimes (TSan) see a clean process.
 #pragma once
 
 #include <sys/types.h>
@@ -43,8 +43,8 @@ struct ShardOptions {
   // only wall time and per-shard load change.
   std::size_t workers = 2;
   // Executable spawned per worker, invoked as `<worker_command>
-  // shard-worker` with the wire conversation on its stdin/stdout.  The
-  // CLI passes its own binary path.
+  // shard-worker --session` with the wire conversation on its
+  // stdin/stdout.  The CLI passes its own binary path.
   std::string worker_command;
   // Per-worker service configuration (each worker owns a private cache).
   service::ServiceOptions service;
@@ -53,7 +53,8 @@ struct ShardOptions {
   // never writing): it is killed, its unreturned specs become
   // deterministic per-spec errors, and the batch completes instead of
   // hanging.  The deadline re-arms on every frame received, so a slow but
-  // progressing worker is never killed.
+  // progressing worker is never killed.  This is the loop's
+  // ServeOptions::worker_timeout_s, with the same meaning.
   double worker_timeout_s = 0.0;
   // Distributed-tracing id for this batch (obs::mint_trace_id); 0 keeps
   // tracing off and every request payload byte-identical to an untraced
@@ -76,15 +77,14 @@ struct ShardOutcome {
   bool ok() const { return error.empty(); }
 };
 
-// What happened to one worker process, end to end.
+// What happened to one worker slot, end to end.
 struct WorkerSummary {
   std::size_t shard = 0;
-  long pid = -1;
   std::size_t requests = 0;       // specs routed to this worker
-  bool protocol_ok = false;       // full conversation through kDone
   bool timed_out = false;         // killed by the worker_timeout_s deadline
-  int exit_status = -1;           // raw waitpid() status
-  std::string error;              // empty when clean; first failure wins
+  // Empty when clean; otherwise the first failure, naming the decoded
+  // exit ("worker 1 exited with status 57", "... killed by signal 9").
+  std::string error;
   service::ServiceStats stats;    // worker-reported service counters
   bool ok() const { return error.empty(); }
 };
@@ -92,13 +92,14 @@ struct WorkerSummary {
 struct ShardReport {
   std::vector<ShardOutcome> outcomes;  // one per spec, submission order
   std::vector<WorkerSummary> workers;
-  // merge_snapshots over the worker registries, with `exec.regions`
-  // reflagged non-deterministic (it counts one drain per worker, so it is
-  // the one deterministic counter that varies with the worker count) and
-  // per-shard `shard.<i>.*` counters plus a shard-tagged copy of each
-  // worker's service.latency_seconds appended in the timing section.
-  // The deterministic section is worker-count-invariant and matches a
-  // single-process `oasys batch` run of the same specs.
+  // The loop's merged kMetrics snapshot: merge_snapshots over the
+  // workers' cycle deltas with `exec.regions` reflagged non-deterministic
+  // (it counts one drain per worker, so it is the one deterministic
+  // counter that varies with the worker count), the loop's `serve.*`
+  // counters, and per-shard `shard.<i>.*` service counters, all of those
+  // in the timing section.  The deterministic section is
+  // worker-count-invariant and matches a single-process `oasys batch` run
+  // of the same specs.
   obs::MetricsSnapshot merged_metrics;
   // Worker span sets, in arrival order, when ShardOptions::trace_id was
   // set.  Partial by design under faults: a worker flushes its receive
@@ -107,9 +108,10 @@ struct ShardReport {
   // process-global obs collector (the caller owns draining it).
   std::vector<SpanSet> worker_spans;
 
-  // Every worker completed the protocol and exited 0.  Per-spec synthesis
-  // failures (an outcome with ok() false under a healthy worker) are
-  // ordinary results at this level; callers combine both for exit codes.
+  // Every worker ended cleanly (exit 0 at a cycle boundary).  Per-spec
+  // synthesis failures (an outcome with ok() false under a healthy
+  // worker) are ordinary results at this level; callers combine both for
+  // exit codes.
   bool infra_ok() const;
 };
 
@@ -122,10 +124,10 @@ std::size_t route(const std::string& request_key, std::size_t workers);
 // One fork+exec'd worker process and the coordinator ends of its pipes
 // (to_fd = its stdin, from_fd = its stdout; both CLOEXEC so siblings
 // spawned later cannot hold a dead worker's pipe open and mask its EOF).
-// `session` spawns `<command> shard-worker --session` (the resident
-// daemon-pool mode, src/serve/) instead of the one-shot batch worker.
-// Throws std::runtime_error when pipe() or fork() fails; an exec or
-// stdio-wiring failure in the child surfaces as exit status 127.
+// `session` spawns `<command> shard-worker --session`, otherwise `<command>
+// shard-worker`; both modes run the same worker loop.  Throws
+// std::runtime_error when pipe() or fork() fails; an exec or stdio-wiring
+// failure in the child surfaces as exit status 127.
 struct SpawnedWorker {
   pid_t pid = -1;
   int to_fd = -1;
@@ -133,15 +135,17 @@ struct SpawnedWorker {
 };
 SpawnedWorker spawn_worker_process(const std::string& command, bool session);
 
-// Spawns options.workers processes, routes and runs a mixed batch of
-// synthesis and yield requests, merges results and metrics, reaps every
-// child.  Yield requests are routed by their spec's plain request key —
-// the same key a synthesis of that spec routes by — so the two kinds of
-// traffic for one spec always co-locate on one worker and share its
-// caches (which is also what keeps the merged deterministic counters
-// worker-count-invariant).  Throws std::invalid_argument on workers == 0
-// or an empty worker_command; worker failures are reported in the
-// ShardReport, never thrown.
+// Runs a mixed batch of synthesis and yield requests as one session on an
+// in-process event loop with options.workers worker processes, maps the
+// answers, per-worker records, and merged metrics into a ShardReport, and
+// returns once every child is reaped.  Yield requests are routed by their
+// spec's plain request key — the same key a synthesis of that spec routes
+// by — so the two kinds of traffic for one spec always co-locate on one
+// worker and share its caches (which is also what keeps the merged
+// deterministic counters worker-count-invariant).  Throws
+// std::invalid_argument on workers == 0 or an empty worker_command, and
+// std::runtime_error when a socketpair, pipe, or fork fails; worker
+// failures are reported in the ShardReport, never thrown.
 ShardReport run_sharded_requests(const tech::Technology& tech,
                                  const synth::SynthOptions& synth_opts,
                                  const std::vector<yield::Request>& requests,

@@ -1,12 +1,10 @@
 #include "shard/wire.h"
 
-#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "util/text.h"
@@ -884,49 +882,6 @@ bool FrameDecoder::next(Frame* out) {
   out->payload.assign(buf_, kHeader, static_cast<std::size_t>(len));
   buf_.erase(0, kHeader + static_cast<std::size_t>(len));
   return true;
-}
-
-int read_frame_deadline(int fd, FrameDecoder& decoder, Frame* out,
-                        double timeout_s) {
-  using clock = std::chrono::steady_clock;
-  const clock::time_point deadline =
-      clock::now() + std::chrono::duration_cast<clock::duration>(
-                         std::chrono::duration<double>(timeout_s));
-  char buf[65536];
-  for (;;) {
-    if (decoder.next(out)) return 1;
-    const auto remaining = deadline - clock::now();
-    if (remaining <= clock::duration::zero()) return -1;
-    const int remaining_ms = static_cast<int>(std::min<std::int64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-                .count() +
-            1,
-        60'000));
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int pr = ::poll(&pfd, 1, remaining_ms);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      throw WireError(util::format("wire: poll failed: %s",
-                                   std::strerror(errno)));
-    }
-    if (pr == 0) continue;  // re-check the deadline, then give up
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw WireError(util::format("wire: read error: %s",
-                                   std::strerror(errno)));
-    }
-    if (n == 0) {
-      if (decoder.mid_frame()) {
-        throw WireError("wire: stream truncated mid-frame");
-      }
-      return 0;  // clean EOF at a frame boundary
-    }
-    decoder.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-  }
 }
 
 }  // namespace oasys::shard

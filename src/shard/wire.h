@@ -258,23 +258,13 @@ class FrameDecoder {
   std::string buf_;
 };
 
-// read_frame with a progress deadline, for reading from a worker that may
-// be alive but wedged.  Waits up to `timeout_s` for the *next* frame (the
-// deadline re-arms per call, so a peer that keeps producing frames is
-// never killed mid-stream).  Returns 1 with a frame, 0 on clean EOF at a
-// frame boundary, -1 on deadline expiry; throws WireError on malformed or
-// truncated input.  The decoder carries partial bytes across calls and
-// must be reused for every read from the same fd.
-int read_frame_deadline(int fd, FrameDecoder& decoder, Frame* out,
-                        double timeout_s);
-
 // Scoped SIGPIPE suppression for frame writers.  write_frame reports a
 // vanished peer by returning false, which requires EPIPE instead of a
 // fatal signal — but signal dispositions are process-global, and a
 // library entry point must not clobber the embedding application's
 // handler.  This saves the previous disposition and restores it on scope
-// exit (run_sharded_batch and the serve client/server all write frames
-// under one of these).
+// exit (the serve event loop, its client, and run_sharded_requests all
+// write frames under one of these).
 class ScopedSigpipeIgnore {
  public:
   ScopedSigpipeIgnore() : prev_(std::signal(SIGPIPE, SIG_IGN)) {}

@@ -177,105 +177,9 @@ bool write_outcome(int out_fd, std::uint64_t seq, const yield::Outcome& o) {
 
 }  // namespace
 
-int worker_main(int in_fd, int out_fd) {
+int worker_session_main(int in_fd, int out_fd) {
   // write_frame reports a vanished peer by returning false; that only works
   // if a write to a closed pipe raises EPIPE instead of killing us.
-  std::signal(SIGPIPE, SIG_IGN);
-  const CrashHook crash = CrashHook::from_env();
-
-  try {
-    Frame frame;
-    if (!read_frame(in_fd, &frame)) {
-      return die("coordinator closed the pipe before sending kConfig");
-    }
-    if (frame.type != FrameType::kConfig) {
-      return die("first frame was not kConfig");
-    }
-    Reader config_reader(frame.payload);
-    const WorkerConfig config = get_config(config_reader);
-    config_reader.expect_end();
-
-    // Schema-drift guard: re-derive the canonical fingerprints from what
-    // actually survived the round trip.  A serializer that dropped or
-    // reordered a field produces a different canonical string here, and a
-    // worker computing on drifted inputs must never serve.
-    if (util::fnv1a64(config.tech.canonical_string()) != config.tech_hash ||
-        util::fnv1a64(synth::canonical_string(config.synth)) !=
-            config.opts_hash) {
-      return die(
-          "config fingerprint mismatch: decoded technology/options do not "
-          "hash to the coordinator's canonical fingerprints (wire schema "
-          "drift)");
-    }
-    apply_config_defaults(config);
-
-    std::vector<std::uint64_t> seqs;
-    std::vector<yield::Request> requests;
-    for (;;) {
-      if (!read_frame(in_fd, &frame)) {
-        return die("coordinator closed the pipe before sending kRun");
-      }
-      if (frame.type == FrameType::kRun) {
-        Reader r(frame.payload);
-        r.expect_end();
-        break;
-      }
-      if (frame.type != FrameType::kRequest &&
-          frame.type != FrameType::kYieldRequest) {
-        return die("unexpected frame before kRun");
-      }
-      std::uint64_t seq = 0;
-      yield::Request req;
-      decode_request(frame, &seq, &req);
-      if (crash.on_receive && crash.hits(req.spec.name)) crash.fire();
-      seqs.push_back(seq);
-      requests.push_back(std::move(req));
-    }
-
-    const std::uint64_t trace_id = cycle_trace_id(requests);
-    ScopedCycleTracing tracing(trace_id != 0);
-    if (trace_id != 0) {
-      emit_recv_markers(seqs, requests);
-      // Early flush: the receive markers reach the coordinator before any
-      // compute, surviving a mid-batch crash or wedge.
-      if (!flush_spans(out_fd, trace_id, config.shard)) {
-        return die("coordinator pipe closed while sending spans");
-      }
-    }
-
-    yield::YieldService service(config.tech, config.synth, config.service);
-    const std::vector<yield::Outcome> outcomes = service.run_mixed(requests);
-
-    if (trace_id != 0 &&
-        !flush_spans(out_fd, trace_id, config.shard)) {
-      return die("coordinator pipe closed while sending spans");
-    }
-
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (!crash.on_receive && crash.hits(requests[i].spec.name)) {
-        crash.fire();
-      }
-      if (!write_outcome(out_fd, seqs[i], outcomes[i])) {
-        return die("coordinator pipe closed while sending results");
-      }
-    }
-
-    Writer w;
-    put_metrics_snapshot(w, obs::Registry::global().snapshot());
-    put_service_stats(w, service.stats());
-    if (!write_frame(out_fd, FrameType::kMetrics, w.bytes()) ||
-        !write_frame(out_fd, FrameType::kDone, {})) {
-      return die("coordinator pipe closed while finishing");
-    }
-    return 0;
-  } catch (const WireError& e) {
-    return die(std::string("malformed frame from coordinator: ") + e.what());
-  } catch (const std::exception& e) {
-    return die(std::string("fatal: ") + e.what());
-  }
-}
-
-int worker_session_main(int in_fd, int out_fd) {
   std::signal(SIGPIPE, SIG_IGN);
   const CrashHook crash = CrashHook::from_env();
 
@@ -290,6 +194,10 @@ int worker_session_main(int in_fd, int out_fd) {
     Reader config_reader(frame.payload);
     const WorkerConfig config = get_config(config_reader);
     config_reader.expect_end();
+    // Schema-drift guard: re-derive the canonical fingerprints from what
+    // actually survived the round trip.  A serializer that dropped or
+    // reordered a field produces a different canonical string here, and a
+    // worker computing on drifted inputs must never serve.
     if (util::fnv1a64(config.tech.canonical_string()) != config.tech_hash ||
         util::fnv1a64(synth::canonical_string(config.synth)) !=
             config.opts_hash) {
@@ -378,6 +286,10 @@ int worker_session_main(int in_fd, int out_fd) {
   } catch (const std::exception& e) {
     return die(std::string("fatal: ") + e.what());
   }
+}
+
+int worker_main(int in_fd, int out_fd) {
+  return worker_session_main(in_fd, out_fd);
 }
 
 }  // namespace oasys::shard

@@ -1,11 +1,13 @@
-// Worker half of cross-process sharded serving.
+// Worker half of cross-process serving.
 //
-// One worker process serves one shard of the request key space.  It speaks
-// the wire protocol (shard/wire.h) on a pair of file descriptors: reads
-// kConfig, then kRequest frames until kRun, computes the batch through its
-// own SynthesisService (private LRU cache, no cross-process locks), and
-// replies kResult per request in arrival order, then kMetrics (its obs
-// registry snapshot plus its service counters), then kDone.
+// One worker process serves one shard of the request key space for the
+// event loop in src/serve/ (the `oasys serve` daemon, and `oasys shard`,
+// which runs its batch as one session on that loop).  It speaks the wire
+// protocol (shard/wire.h) on a pair of file descriptors: reads kConfig
+// once, then serves repeated [kRequest* kRun -> kResult* kMetrics kDone]
+// cycles through one resident YieldService (private LRU caches, no
+// cross-process locks), so its caches stay warm across cycles.  EOF at a
+// cycle boundary is a clean drain.
 //
 // The kConfig fingerprint hashes are re-derived from the decoded structs
 // and verified before any work runs, so serializer/struct schema drift
@@ -26,19 +28,17 @@ namespace oasys::shard {
 // Exit code of the crash-injection test hook.
 inline constexpr int kCrashHookExitCode = 57;
 
-// Runs one worker conversation over the given descriptors (the CLI's
-// `shard-worker` mode passes stdin/stdout).  Returns the process exit
-// code: 0 after a clean kDone, nonzero after a protocol or fatal error
-// (diagnostics go to stderr, which the coordinator leaves inherited).
-int worker_main(int in_fd, int out_fd);
-
-// Session (daemon-pool) variant: reads kConfig once, then serves repeated
-// [kRequest* kRun -> kResult* kMetrics kDone] cycles with one resident
-// SynthesisService, so its private LRU cache stays warm across requests.
-// The obs registry is reset at the start of every cycle (each kMetrics
-// frame carries per-cycle deltas the coordinator can accumulate);
-// ServiceStats are cumulative for the session.  EOF at a cycle boundary
-// is a clean drain (returns 0); EOF mid-cycle is an error.
+// Runs one worker session over the given descriptors (the CLI's
+// `shard-worker` mode passes stdin/stdout).  The obs registry is reset at
+// the start of every cycle (each kMetrics frame carries that cycle's
+// deltas, which the coordinator accumulates); ServiceStats are cumulative
+// for the session.  Returns the process exit code: 0 on EOF at a cycle
+// boundary (including right after kConfig), nonzero on EOF mid-cycle or
+// any protocol or fatal error (diagnostics go to stderr, which the
+// coordinator leaves inherited).
 int worker_session_main(int in_fd, int out_fd);
+
+// Forwards to worker_session_main, for callers that still name it.
+int worker_main(int in_fd, int out_fd);
 
 }  // namespace oasys::shard

@@ -175,7 +175,6 @@ core::Plan<ComparatorContext> build_comparator_plan() {
 
   plan.add_step("design-pair", [](ComparatorContext& ctx) {
     blocks::DiffPairSpec ps;
-    ps.role_prefix = "M";
     ps.type = mos::MosType::kNmos;
     ps.gm = ctx.get("gm1");
     ps.itail = ctx.get("itail");

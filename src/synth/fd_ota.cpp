@@ -131,7 +131,6 @@ core::Plan<FdContext> build_fd_plan() {
 
   plan.add_step("design-pair", [](FdContext& ctx) {
     blocks::DiffPairSpec ps;
-    ps.role_prefix = "M";
     ps.type = mos::MosType::kNmos;
     ps.gm = ctx.get("gm1");
     ps.itail = ctx.get("itail");

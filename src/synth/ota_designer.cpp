@@ -156,7 +156,6 @@ core::Plan<OpAmpContext> build_ota_plan() {
   // ---- sub-block design ----------------------------------------------------
   plan.add_step("design-pair", [](OpAmpContext& ctx) {
     blocks::DiffPairSpec ps;
-    ps.role_prefix = "M";
     ps.type = mos::MosType::kNmos;
     ps.gm = ctx.get("gm1");
     ps.itail = ctx.get("itail");

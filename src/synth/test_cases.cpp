@@ -7,8 +7,7 @@ namespace oasys::synth {
 using namespace util;  // unit helpers
 
 core::OpAmpSpec spec_case_a() {
-  core::OpAmpSpec s;
-  s.name = "A";
+  core::OpAmpSpec s{.name = "A"};
   s.gain_min_db = 45.0;
   s.gbw_min = mhz(1.0);
   s.pm_min_deg = 45.0;
@@ -24,8 +23,7 @@ core::OpAmpSpec spec_case_a() {
 }
 
 core::OpAmpSpec spec_case_b() {
-  core::OpAmpSpec s;
-  s.name = "B";
+  core::OpAmpSpec s{.name = "B"};
   s.gain_min_db = 70.0;
   s.gbw_min = mhz(2.0);
   s.pm_min_deg = 45.0;
@@ -41,8 +39,7 @@ core::OpAmpSpec spec_case_b() {
 }
 
 core::OpAmpSpec spec_case_c() {
-  core::OpAmpSpec s;
-  s.name = "C";
+  core::OpAmpSpec s{.name = "C"};
   s.gain_min_db = 100.0;
   s.gbw_min = mhz(5.0);
   s.pm_min_deg = 45.0;

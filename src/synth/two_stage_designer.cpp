@@ -178,7 +178,6 @@ core::Plan<OpAmpContext> build_two_stage_plan() {
 
   plan.add_step("design-pair", [](OpAmpContext& ctx) {
     blocks::DiffPairSpec ps;
-    ps.role_prefix = "M";
     ps.type = mos::MosType::kNmos;
     ps.gm = ctx.get("gm1");
     ps.itail = ctx.get("i5");
@@ -313,7 +312,6 @@ core::Plan<OpAmpContext> build_two_stage_plan() {
 
   plan.add_step("design-gm-stage", [](OpAmpContext& ctx) {
     blocks::GmStageSpec gs;
-    gs.role_prefix = "M";
     gs.type = mos::MosType::kPmos;
     gs.gm = ctx.get("gm6_req");
     gs.id = ctx.get("i6");
@@ -367,7 +365,6 @@ core::Plan<OpAmpContext> build_two_stage_plan() {
           format("stage-1 output %.2f V above second-stage gate", -delta));
     }
     blocks::LevelShifterSpec lss;
-    lss.role_prefix = "M";
     lss.type = mos::MosType::kPmos;  // shifts up; body tied to source
     lss.shift = delta;
     lss.cload = ctx.gm2.cgs;

@@ -5,9 +5,11 @@
 // local SynthesisService produces, at every worker count, across many
 // consecutive requests on one daemon (that persistence is the feature);
 // the shared result-cache tier must answer repeats without touching a
-// worker; and every fault — a worker killed mid-cycle, a worker wedged
-// past its deadline, a drain racing in-flight work — must surface as
-// deterministic per-spec errors or a clean stop, never as a hang.
+// worker; and a drain racing in-flight work must answer it and stop
+// cleanly, never hang.  Worker crashes and wedges are tested once, against
+// the same event loop, in test_shard.cpp (ShardFaults.*, through
+// run_sharded_requests) and test_trace_wire.cpp (TracedShard.*); respawn
+// after repeated deaths is ServeStress.RepeatedWorkerDeathsRespawn*.
 //
 // Library-level tests run the Server in-process on a thread with real
 // `oasys shard-worker --session` children (OASYS_CLI_PATH, wired by
@@ -127,14 +129,6 @@ bool wait_listening(const std::string& path, int attempts = 1000) {
   }
   return false;
 }
-
-struct ScopedEnv {
-  std::string name;
-  ScopedEnv(const char* n, const char* value) : name(n) {
-    ::setenv(n, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name.c_str()); }
-};
 
 const obs::MetricEntry* find_counter(const obs::MetricsSnapshot& snap,
                                      const char* name) {
@@ -400,80 +394,6 @@ TEST(ServeConformance, InvalidOptionsThrow) {
       serve_options(1, "/tmp/" + std::string(200, 'x'));
   EXPECT_THROW(serve::Server(tech::five_micron(), {}, long_path),
                std::invalid_argument);
-}
-
-// ---- fault paths ------------------------------------------------------------
-
-TEST(ServeFaults, KilledWorkerAnswersDeterministicallyAndRespawns) {
-  const ScopedEnv crash("OASYS_SHARD_TEST_CRASH", "A");
-  const tech::Technology t = tech::five_micron();
-  const std::vector<core::OpAmpSpec> specs = synth::paper_test_cases();
-  const std::string socket = test_socket_path();
-  DaemonThread daemon(serve_options(1, socket));
-
-  // First request: the (only) worker exits before returning A's result.
-  // A must come back as a deterministic error, never a hang or a partial
-  // success; the specs that died with it error the same way.
-  const serve::ConnectReport first =
-      connected_batch_retry(socket, t, {}, specs);
-  ASSERT_EQ(first.outcomes.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].name != "A") continue;
-    EXPECT_FALSE(first.outcomes[i].ok());
-    EXPECT_NE(first.outcomes[i].error.find("died before returning a result"),
-              std::string::npos)
-        << first.outcomes[i].error;
-  }
-  EXPECT_GE(daemon.server.stats().worker_errors, 1u);
-
-  // Second request: a fresh key (same numerics, new name, so nothing is
-  // cached and the crash hook does not match) must be computed by the
-  // respawned worker.
-  core::OpAmpSpec fresh = synth::paper_test_cases()[1];
-  fresh.name = "B-respawned";
-  const serve::ConnectReport second =
-      connected_batch_retry(socket, t, {}, {fresh});
-  ASSERT_EQ(second.outcomes.size(), 1u);
-  ASSERT_TRUE(second.outcomes[0].ok()) << second.outcomes[0].error;
-  EXPECT_EQ(synth::result_json(second.outcomes[0].result),
-            synth::result_json(synth::synthesize_opamp(t, fresh, {})));
-
-  const serve::ServeStats st = daemon.server.stats();
-  EXPECT_GE(st.respawns, 1u);
-  EXPECT_EQ(daemon.stop(), 0);
-}
-
-TEST(ServeFaults, WedgedWorkerIsKilledAtTheDeadlineNotWaitedOn) {
-  const ScopedEnv crash("OASYS_SHARD_TEST_CRASH", "A:wedge");
-  const tech::Technology t = tech::five_micron();
-  const std::vector<core::OpAmpSpec> specs = synth::paper_test_cases();
-  const std::string socket = test_socket_path();
-  serve::ServeOptions o = serve_options(1, socket);
-  o.worker_timeout_s = 1.0;
-  DaemonThread daemon(std::move(o));
-
-  // The worker wedges (alive but silent) before its first result.  The
-  // deadline must kill it and answer every in-flight spec; without the
-  // deadline this call would never return.
-  const serve::ConnectReport report =
-      connected_batch_retry(socket, t, {}, specs);
-  ASSERT_EQ(report.outcomes.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_FALSE(report.outcomes[i].ok()) << specs[i].name;
-    EXPECT_NE(report.outcomes[i].error.find("timed out before returning"),
-              std::string::npos)
-        << report.outcomes[i].error;
-  }
-  const serve::ServeStats st = daemon.server.stats();
-  EXPECT_EQ(st.worker_timeouts, 1u);
-  const obs::MetricEntry* timeouts =
-      find_counter(report.metrics, "serve.worker_timeouts");
-  if (timeouts != nullptr) {
-    EXPECT_EQ(timeouts->counter, 1u);
-  }
-  // Stopping with the replacement spawn still pending must drain, not
-  // hang on a worker that no longer exists.
-  EXPECT_EQ(daemon.stop(), 0);
 }
 
 // ---- drain ------------------------------------------------------------------

@@ -16,6 +16,8 @@
 #include <unistd.h>
 
 #include <bit>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
@@ -36,6 +38,7 @@
 #include "synth/test_cases.h"
 #include "tech/builtin.h"
 #include "util/fingerprint.h"
+#include "util/text.h"
 #include "yield/service.h"
 #include "yield/yield.h"
 
@@ -576,7 +579,8 @@ std::vector<std::string> deterministic_lines(
         line += std::to_string(e.histogram.count) + "/" +
                 std::to_string(e.histogram.sum);
         for (const std::uint64_t c : e.histogram.counts) {
-          line += "," + std::to_string(c);
+          line += ',';
+          line += std::to_string(c);
         }
         break;
     }
@@ -721,11 +725,20 @@ TEST(ShardFaults, WorkerKilledMidBatchFailsItsSpecsOnly) {
       EXPECT_TRUE(o.ok()) << o.error;
     }
   }
+  // The summary names the decoded exit of the crash hook.
   const shard::WorkerSummary& victim = report.workers[victim_shard];
   EXPECT_FALSE(victim.ok());
-  EXPECT_FALSE(victim.protocol_ok);
-  ASSERT_TRUE(WIFEXITED(victim.exit_status));
-  EXPECT_EQ(WEXITSTATUS(victim.exit_status), shard::kCrashHookExitCode);
+  EXPECT_FALSE(victim.timed_out);
+  EXPECT_NE(victim.error.find(util::format("exited with status %d",
+                                           shard::kCrashHookExitCode)),
+            std::string::npos)
+      << victim.error;
+  // The loop counts every per-spec error it answered for the dead worker.
+  const obs::MetricEntry* errors =
+      report.merged_metrics.find("serve.worker_errors");
+  ASSERT_NE(errors, nullptr);
+  EXPECT_FALSE(errors->deterministic);
+  EXPECT_GE(errors->counter, 1u);
 }
 
 TEST(ShardFaults, WorkerKilledOnReceiveFailsItsWholeShard) {
@@ -745,6 +758,9 @@ TEST(ShardFaults, WorkerKilledOnReceiveFailsItsWholeShard) {
     const shard::ShardOutcome& o = report.outcomes[i];
     if (o.shard == victim_shard) {
       EXPECT_FALSE(o.ok()) << specs[i].name;
+      EXPECT_NE(o.error.find("died before returning a result"),
+                std::string::npos)
+          << o.error;
     } else {
       EXPECT_TRUE(o.ok()) << o.error;
     }
@@ -801,8 +817,16 @@ TEST(ShardFaults, WedgedWorkerIsKilledAtTheDeadline) {
   const shard::WorkerSummary& victim = report.workers[victim_shard];
   EXPECT_FALSE(victim.ok());
   EXPECT_TRUE(victim.timed_out);
-  // The deadline kill is SIGKILL, so the wait status records a signal.
-  EXPECT_TRUE(WIFSIGNALED(victim.exit_status));
+  // The deadline kill is SIGKILL, and the summary says so.
+  EXPECT_NE(victim.error.find(util::format("killed by signal %d", SIGKILL)),
+            std::string::npos)
+      << victim.error;
+  // The loop counts the kill in its timing-section counters.
+  const obs::MetricEntry* timeouts =
+      report.merged_metrics.find("serve.worker_timeouts");
+  ASSERT_NE(timeouts, nullptr);
+  EXPECT_FALSE(timeouts->deterministic);
+  EXPECT_EQ(timeouts->counter, 1u);
 }
 
 TEST(ShardFaults, GarbageSpeakingWorkerIsRejectedNotCrashedOn) {
@@ -819,6 +843,9 @@ TEST(ShardFaults, GarbageSpeakingWorkerIsRejectedNotCrashedOn) {
   for (const shard::ShardOutcome& out : report.outcomes) {
     EXPECT_FALSE(out.ok());
   }
+  EXPECT_NE(report.workers[0].error.find("broke the protocol"),
+            std::string::npos)
+      << report.workers[0].error;
 }
 
 TEST(ShardFaults, NonexecutableWorkerCommandFailsCleanly) {
@@ -833,8 +860,8 @@ TEST(ShardFaults, NonexecutableWorkerCommandFailsCleanly) {
   for (const shard::WorkerSummary& w : report.workers) {
     EXPECT_FALSE(w.ok());
     // exec failure exits 127 in the forked child.
-    ASSERT_TRUE(WIFEXITED(w.exit_status));
-    EXPECT_EQ(WEXITSTATUS(w.exit_status), 127);
+    EXPECT_NE(w.error.find("exited with status 127"), std::string::npos)
+        << w.error;
   }
 }
 
@@ -849,18 +876,45 @@ TEST(ShardFaults, InvalidOptionsThrow) {
                std::invalid_argument);
 }
 
+TEST(ShardConformance, EmptyBatchReturnsPromptlyAndReapsEveryWorker) {
+  // Zero requests still spawn the pool and run one session whose kRun
+  // routed nothing; the loop must answer it, drain, and reap at once.
+  const tech::Technology t = tech::five_micron();
+  for (const std::size_t workers : {1u, 3u}) {
+    const auto start = std::chrono::steady_clock::now();
+    const shard::ShardReport report =
+        shard::run_sharded_batch(t, {}, {}, cli_shard_options(workers));
+    const double elapsed_s = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+    EXPECT_TRUE(report.outcomes.empty()) << "workers=" << workers;
+    EXPECT_TRUE(report.infra_ok()) << "workers=" << workers;
+    ASSERT_EQ(report.workers.size(), workers);
+    for (const shard::WorkerSummary& w : report.workers) {
+      EXPECT_TRUE(w.ok()) << w.error;
+      EXPECT_EQ(w.requests, 0u);
+    }
+    EXPECT_LT(elapsed_s, 30.0) << "workers=" << workers;
+    // Every child is reaped: no zombie (and no live worker) is left.
+    int status = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1) << "workers=" << workers;
+    EXPECT_EQ(errno, ECHILD);
+  }
+}
+
 // ---- worker-side rejection of malformed input -------------------------------
 
-// Feeds raw bytes to worker_main as its stdin and returns its exit code.
-// All writes land before the call, so the single-threaded read phase of
-// the worker cannot deadlock (error paths write nothing to out).
+// Feeds raw bytes to the worker loop as its stdin and returns its exit
+// code.  All writes land before the call, so the single-threaded read
+// phase of the worker cannot deadlock (none of these inputs reaches a
+// kRun, so the worker writes nothing to out).
 int run_worker_on_bytes(const std::string& bytes) {
   Pipe in;
   Pipe out;
   EXPECT_EQ(::write(in.write_fd(), bytes.data(), bytes.size()),
             static_cast<ssize_t>(bytes.size()));
   in.close_write();
-  const int rc = shard::worker_main(in.read_fd(), out.write_fd());
+  const int rc = shard::worker_session_main(in.read_fd(), out.write_fd());
   out.close_write();
   return rc;
 }
@@ -908,16 +962,32 @@ TEST(ShardWorker, RefusesOnFingerprintMismatch) {
             0);
 }
 
-TEST(ShardWorker, EofBeforeRunIsAnError) {
+std::string valid_config_bytes() {
   shard::WorkerConfig c;
   c.tech = tech::five_micron();
   c.tech_hash = util::fnv1a64(c.tech.canonical_string());
   c.opts_hash = util::fnv1a64(synth::canonical_string(c.synth));
   shard::Writer w;
   shard::put_config(w, c);
+  return piped_frame_bytes(shard::FrameType::kConfig, w.bytes());
+}
+
+TEST(ShardWorker, EofMidCycleIsAnError) {
+  // A request without its kRun: the cycle never completes.
+  shard::Writer w;
+  w.u64(0);
+  shard::put_spec(w, synth::paper_test_cases()[0]);
+  shard::put_trace_context(w, shard::TraceContext{});
   EXPECT_NE(run_worker_on_bytes(
-                piped_frame_bytes(shard::FrameType::kConfig, w.bytes())),
+                valid_config_bytes() +
+                piped_frame_bytes(shard::FrameType::kRequest, w.bytes())),
             0);
+}
+
+TEST(ShardWorker, EofAtCycleBoundaryIsACleanDrain) {
+  // kConfig then EOF is a session that ends before its first cycle: the
+  // clean drain the coordinator and the spawn probe both rely on.
+  EXPECT_EQ(run_worker_on_bytes(valid_config_bytes()), 0);
 }
 
 }  // namespace

@@ -28,11 +28,12 @@
 // canonical fingerprint, each worker runs a private SynthesisService, and
 // the merged output is byte-identical to `batch` (compare with --no-stats,
 // which drops the timing-bearing footer from both).  `serve` keeps that
-// worker fleet resident behind a unix-domain socket; `batch --connect`
+// worker pool resident behind a unix-domain socket; `batch --connect`
 // routes the batch through the daemon with the same byte-identical
-// output.  `shard-worker` is the internal child mode the coordinator
-// spawns (`--session` is the daemon-pool variant); it speaks the wire
-// protocol on stdin/stdout and is not for interactive use.  `golden`
+// output.  Both run on one event-loop coordinator (src/serve/): `shard`
+// is one in-process session on it.  `shard-worker` is the internal child
+// mode the coordinator spawns; it speaks the wire protocol on
+// stdin/stdout and is not for interactive use.  `golden`
 // writes the canonical result JSON (oasys.result.v1) per spec — the
 // regeneration path for tests/golden/.
 //
@@ -1698,11 +1699,9 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "shard") == 0) {
     return run_shard_mode(argc - 2, argv + 2, argv[0]);
   }
+  // One worker loop; `--session` is accepted and changes nothing.
   if (argc > 1 && std::strcmp(argv[1], "shard-worker") == 0) {
-    if (argc > 2 && std::strcmp(argv[2], "--session") == 0) {
-      return shard::worker_session_main(STDIN_FILENO, STDOUT_FILENO);
-    }
-    return shard::worker_main(STDIN_FILENO, STDOUT_FILENO);
+    return shard::worker_session_main(STDIN_FILENO, STDOUT_FILENO);
   }
   if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
     return run_serve_mode(argc - 2, argv + 2, argv[0]);
