@@ -36,15 +36,27 @@ double interp_linear(const std::vector<double>& xs,
 double interp_semilogx(const std::vector<double>& xs,
                        const std::vector<double>& ys, double x) {
   validate(xs, ys);
-  std::vector<double> lx(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (xs[i] <= 0.0) {
+  for (const double xi : xs) {
+    if (xi <= 0.0) {
       throw std::invalid_argument("interp_semilogx: xs must be positive");
     }
-    lx[i] = std::log10(xs[i]);
   }
   if (x <= 0.0) return ys.front();
-  return interp_linear(lx, ys, std::log10(x));
+  // interp_linear over log10(xs), with the logs taken on the fly instead
+  // of into a temporary: allocation-free, the same arithmetic.
+  const double lq = std::log10(x);
+  if (xs.size() == 1 || lq <= std::log10(xs.front())) return ys.front();
+  if (lq >= std::log10(xs.back())) return ys.back();
+  const auto it = std::upper_bound(
+      xs.begin(), xs.end(), lq,
+      [](double l, double xi) { return l < std::log10(xi); });
+  const std::size_t hi = static_cast<std::size_t>(it - xs.begin());
+  const std::size_t lo = hi - 1;
+  const double llo = std::log10(xs[lo]);
+  const double span = std::log10(xs[hi]) - llo;
+  if (span == 0.0) return ys[lo];
+  const double t = (lq - llo) / span;
+  return ys[lo] + t * (ys[hi] - ys[lo]);
 }
 
 std::optional<double> first_crossing(const std::vector<double>& xs,

@@ -33,8 +33,15 @@ void build_small_signal_matrices(const ckt::Circuit& c,
   const std::size_t n = layout.size();
   num::RealMatrix& g = *g_out;
   num::RealMatrix& cap = *cap_out;
-  g = num::RealMatrix(n, n);
-  cap = num::RealMatrix(n, n);
+  // Zero in place when the size already fits: a warm kernel re-stamps
+  // without allocating.
+  for (num::RealMatrix* m : {&g, &cap}) {
+    if (m->rows() == n && m->cols() == n) {
+      m->fill(0.0);
+    } else {
+      *m = num::RealMatrix(n, n);
+    }
+  }
 
   auto add_g = [&](int r, int col, double v) {
     if (r >= 0 && col >= 0) {
@@ -108,18 +115,54 @@ void build_small_signal_matrices(const ckt::Circuit& c,
   }
 }
 
-namespace {
+const char* AcKernel::assemble(const ckt::Circuit& c, const OpResult& op) {
+  if (!op.converged) return "operating point did not converge";
+  layout_ = MnaLayout(c);
+  const std::size_t n = layout_.size();
+  if (op.devices.size() != c.mosfets().size() || op.solution.size() != n) {
+    return "operating point does not match circuit";
+  }
+  build_small_signal_matrices(c, layout_, op, &g_, &cap_);
 
-// Per-lane scratch for the frequency fan-out: one complex matrix and one
-// factorization, reused by every point the lane drains.
-struct AcLaneWorkspace {
-  num::ComplexMatrix y;
-  num::LuFactors<std::complex<double>> lu;
-};
+  // AC excitation vector (frequency independent).
+  using Cplx = std::complex<double>;
+  rhs_.assign(n, Cplx{});
+  for (std::size_t k = 0; k < c.vsources().size(); ++k) {
+    const auto& v = c.vsources()[k];
+    if (v.wave.ac_mag() != 0.0) {
+      const double ph = util::rad(v.wave.ac_phase_deg());
+      rhs_[layout_.branch_index(k)] = std::polar(v.wave.ac_mag(), ph);
+    }
+  }
+  for (const auto& i : c.isources()) {
+    if (i.wave.ac_mag() == 0.0) continue;
+    const double ph = util::rad(i.wave.ac_phase_deg());
+    const Cplx phasor = std::polar(i.wave.ac_mag(), ph);
+    const int ia = layout_.node_index(i.a);
+    const int ib = layout_.node_index(i.b);
+    // Current flows a -> b: it leaves node a, so the injection at a is -I.
+    if (ia >= 0) rhs_[static_cast<std::size_t>(ia)] -= phasor;
+    if (ib >= 0) rhs_[static_cast<std::size_t>(ib)] += phasor;
+  }
+  return nullptr;
+}
 
-}  // namespace
+bool AcKernel::solve(double f, AcPointScratch* ws,
+                     std::vector<std::complex<double>>* x) const {
+  const std::size_t n = layout_.size();
+  if (ws->y.rows() != n || ws->y.cols() != n) {
+    ws->y = num::ComplexMatrix(n, n);
+  }
+  fill_complex_mna(ws->y.data(), g_.data(), cap_.data(), util::kTwoPi * f,
+                   n * n);
+  num::lu_factor_in_place(&ws->y, &ws->lu);
+  if (ws->lu.singular) return false;
+  *x = rhs_;  // same size: copies into existing storage
+  num::lu_solve_in_place(ws->lu, x);
+  return true;
+}
 
-AcResult ac_analysis(const ckt::Circuit& c, const tech::Technology& t,
+AcResult ac_analysis(const ckt::Circuit& c, const tech::Technology& /*t*/,
                      const OpResult& op, const std::vector<double>& freqs,
                      std::size_t jobs) {
   AcMetrics& metrics = AcMetrics::get();
@@ -137,72 +180,31 @@ AcResult ac_analysis(const ckt::Circuit& c, const tech::Technology& t,
       return result;
     }
   }
-  NonlinearSystem sys(c, t);
-  const MnaLayout& layout = sys.layout();
-  const std::size_t n = layout.size();
-  if (op.devices.size() != c.mosfets().size() || op.solution.size() != n) {
-    result.error = "operating point does not match circuit";
+  AcKernel kernel;
+  if (const char* error = kernel.assemble(c, op)) {
+    result.error = error;
     return result;
   }
+  const std::size_t n = kernel.layout().size();
 
-  using Cplx = std::complex<double>;
-  num::RealMatrix g;
-  num::RealMatrix cap;
-  build_small_signal_matrices(c, layout, op, &g, &cap);
-  // Flat row-major views for the per-point fill loop.
-  const double* g_flat = g.data();
-  const double* cap_flat = cap.data();
-
-  // AC excitation vector (frequency independent).
-  std::vector<Cplx> rhs(n, Cplx{});
-  for (std::size_t k = 0; k < c.vsources().size(); ++k) {
-    const auto& v = c.vsources()[k];
-    if (v.wave.ac_mag() != 0.0) {
-      const double ph = util::rad(v.wave.ac_phase_deg());
-      rhs[layout.branch_index(k)] = std::polar(v.wave.ac_mag(), ph);
-    }
-  }
-  for (const auto& i : c.isources()) {
-    if (i.wave.ac_mag() == 0.0) continue;
-    const double ph = util::rad(i.wave.ac_phase_deg());
-    const Cplx phasor = std::polar(i.wave.ac_mag(), ph);
-    const int ia = layout.node_index(i.a);
-    const int ib = layout.node_index(i.b);
-    // Current flows a -> b: it leaves node a, so the injection at a is -I.
-    if (ia >= 0) rhs[static_cast<std::size_t>(ia)] -= phasor;
-    if (ib >= 0) rhs[static_cast<std::size_t>(ib)] += phasor;
-  }
-
-  // Every frequency point factors its own complex MNA matrix from the
-  // shared G/C stamps — fully independent, so the points distribute over
-  // `jobs` lanes with each solution landing in its own slot.  Each lane
-  // reuses one matrix + factorization for all its points, and each point
-  // solves in place into its preallocated solution slot, so the sweep loop
-  // is allocation-free in steady state.  A lane's scratch is fully
-  // overwritten per point, so results stay bit-for-bit identical at every
-  // jobs setting.
+  // Every frequency point is an independent kernel solve, so the points
+  // distribute over `jobs` lanes with each solution landing in its own
+  // preallocated slot.  Each lane reuses one matrix + factorization for
+  // all its points, so the sweep loop is allocation-free in steady state.
+  // A lane's scratch is fully overwritten per point, so results stay
+  // bit-for-bit identical at every jobs setting.
   metrics.points.add(freqs.size());
   result.freqs = freqs;
-  result.solutions.assign(freqs.size(), std::vector<Cplx>(n));
+  result.solutions.assign(freqs.size(),
+                          std::vector<std::complex<double>>(n));
   std::vector<char> singular(freqs.size(), 0);
-  std::vector<AcLaneWorkspace> lanes(exec::lane_count(freqs.size(), jobs));
+  std::vector<AcPointScratch> lanes(exec::lane_count(freqs.size(), jobs));
   exec::parallel_for_lanes(
       freqs.size(),
       [&](std::size_t i, std::size_t lane) {
-        AcLaneWorkspace& ws = lanes[lane];
-        const double w = util::kTwoPi * freqs[i];
-        if (ws.y.rows() != n || ws.y.cols() != n) {
-          ws.y = num::ComplexMatrix(n, n);
-        }
-        fill_complex_mna(ws.y.data(), g_flat, cap_flat, w, n * n);
-        num::lu_factor_in_place(&ws.y, &ws.lu);
-        if (ws.lu.singular) {
+        if (!kernel.solve(freqs[i], &lanes[lane], &result.solutions[i])) {
           singular[i] = 1;
-          return;
         }
-        std::vector<Cplx>& x = result.solutions[i];
-        x = rhs;  // copy into the preallocated slot, no reallocation
-        num::lu_solve_in_place(ws.lu, &x);
       },
       jobs);
   for (const char s : singular) {

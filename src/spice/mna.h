@@ -23,6 +23,7 @@ namespace oasys::sim {
 // Index map from circuit entities to MNA unknowns.
 class MnaLayout {
  public:
+  MnaLayout() = default;  // empty (size 0) until assigned from a circuit
   explicit MnaLayout(const ckt::Circuit& c);
 
   std::size_t size() const { return size_; }

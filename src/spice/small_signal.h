@@ -12,8 +12,9 @@
 
 namespace oasys::sim {
 
-// Fills `g` and `cap` (resized to layout.size()); requires op.devices to
-// match the circuit.  Includes the small stabilizing shunt on every node.
+// Fills `g` and `cap` (resized to layout.size(), zeroed in place when they
+// already have that size); requires op.devices to match the circuit.
+// Includes the small stabilizing shunt on every node.
 //
 // The G stamps come from op.devices, the batch kernel's outputs at the
 // operating point, so the small-signal model needs no device evaluation.

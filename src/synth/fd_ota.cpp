@@ -427,6 +427,31 @@ BuiltFdOta build_fd_ota(const FdOtaDesign& d, const tech::Technology& t,
   return nodes;
 }
 
+FdOtaBench fd_ota_bench(const FdOtaDesign& design,
+                        const tech::Technology& t) {
+  FdOtaBench b;
+  ckt::Circuit& c = b.circuit;
+  b.nodes = build_fd_ota(design, t, c);
+  c.add_vsource("VDD", b.nodes.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
+  c.add_vsource("VSS", b.nodes.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
+  b.vcm = design.spec.icmr_lo != 0.0 || design.spec.icmr_hi != 0.0
+              ? 0.5 * (design.spec.icmr_lo + design.spec.icmr_hi)
+              : t.mid_supply();
+  c.add_vsource("VIP", b.nodes.inp, ckt::kGround,
+                ckt::Waveform::ac(b.vcm, 0.5, 0.0));
+  c.add_vsource("VIN", b.nodes.inn, ckt::kGround,
+                ckt::Waveform::ac(b.vcm, 0.5, 180.0));
+  if (design.spec.cload > 0.0) {
+    c.add_capacitor("CLP", b.nodes.outp, ckt::kGround, design.spec.cload);
+    c.add_capacitor("CLM", b.nodes.outm, ckt::kGround, design.spec.cload);
+  }
+  b.fmin = std::max(design.predicted.gbw /
+                        util::from_db20(design.predicted.gain_db) / 30.0,
+                    1e-2);
+  b.freqs = num::logspace(b.fmin, 1e9, 101);
+  return b;
+}
+
 MeasuredFdOta measure_fd_ota(const FdOtaDesign& design,
                              const tech::Technology& t) {
   MeasuredFdOta m;
@@ -434,22 +459,11 @@ MeasuredFdOta measure_fd_ota(const FdOtaDesign& design,
     m.error = "design is infeasible";
     return m;
   }
-  ckt::Circuit c;
-  const BuiltFdOta nodes = build_fd_ota(design, t, c);
-  c.add_vsource("VDD", nodes.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-  c.add_vsource("VSS", nodes.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
-  const double vcm =
-      design.spec.icmr_lo != 0.0 || design.spec.icmr_hi != 0.0
-          ? 0.5 * (design.spec.icmr_lo + design.spec.icmr_hi)
-          : t.mid_supply();
-  c.add_vsource("VIP", nodes.inp, ckt::kGround,
-                ckt::Waveform::ac(vcm, 0.5, 0.0));
-  c.add_vsource("VIN", nodes.inn, ckt::kGround,
-                ckt::Waveform::ac(vcm, 0.5, 180.0));
-  if (design.spec.cload > 0.0) {
-    c.add_capacitor("CLP", nodes.outp, ckt::kGround, design.spec.cload);
-    c.add_capacitor("CLM", nodes.outm, ckt::kGround, design.spec.cload);
-  }
+  FdOtaBench bench = fd_ota_bench(design, t);
+  ckt::Circuit& c = bench.circuit;
+  const BuiltFdOta& nodes = bench.nodes;
+  const double vcm = bench.vcm;
+  const double fmin = bench.fmin;
   const sim::MnaLayout layout(c);
 
   const sim::OpResult op = sim::dc_operating_point(c, t);
@@ -463,37 +477,15 @@ MeasuredFdOta measure_fd_ota(const FdOtaDesign& design,
   m.cm_error = std::abs(cm_level - mid);
 
   // Differential AC: v(outp) - v(outm) under anti-phase drive.
-  const double fmin = std::max(
-      design.predicted.gbw /
-          util::from_db20(design.predicted.gain_db) / 30.0,
-      1e-2);
-  const auto freqs = num::logspace(fmin, 1e9, 101);
-  const sim::AcResult ac = sim::ac_analysis(c, t, op, freqs);
-  if (!ac.ok) {
-    m.error = "AC analysis failed: " + ac.error;
+  const sim::OpenLoopMetrics ol =
+      sim::open_loop_metrics(c, op, bench.freqs, {nodes.outp, nodes.outm});
+  if (!ol.ok) {
+    m.error = "AC analysis failed: " + ol.error;
     return m;
   }
-  sim::BodeSeries bode;
-  bode.freqs = freqs;
-  double prev_phase = 0.0;
-  bool first = true;
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    const std::complex<double> vd = ac.voltage(layout, i, nodes.outp) -
-                                    ac.voltage(layout, i, nodes.outm);
-    bode.gain_db.push_back(util::db20(std::abs(vd)));
-    double ph = util::deg(std::arg(vd));
-    if (!first) {
-      while (ph - prev_phase > 180.0) ph -= 360.0;
-      while (ph - prev_phase < -180.0) ph += 360.0;
-    }
-    bode.phase_deg.push_back(ph);
-    prev_phase = ph;
-    first = false;
-  }
-  const sim::LoopMetrics lm = sim::loop_metrics(bode);
-  m.gain_db = lm.dc_gain_db;
-  m.gbw = lm.unity_gain_freq.value_or(0.0);
-  m.pm_deg = lm.phase_margin_deg.value_or(0.0);
+  m.gain_db = ol.metrics.dc_gain_db;
+  m.gbw = ol.metrics.unity_gain_freq.value_or(0.0);
+  m.pm_deg = ol.metrics.phase_margin_deg.value_or(0.0);
 
   // CMRR: in-phase drive, differential output.
   {

@@ -65,6 +65,20 @@ struct BuiltFdOta {
 BuiltFdOta build_fd_ota(const FdOtaDesign& design,
                         const tech::Technology& t, ckt::Circuit& c);
 
+// Open-loop differential fixture of measure_fd_ota: the OTA with supplies,
+// anti-phase inputs (AC +-0.5 around the common mode) and the spec load on
+// both outputs, plus the AC grid the differential gain, GBW and phase
+// margin are read on.
+struct FdOtaBench {
+  ckt::Circuit circuit;
+  BuiltFdOta nodes;
+  double vcm = 0.0;   // input common mode [V]
+  double fmin = 0.0;  // first grid point: a 30th of the predicted pole [Hz]
+  std::vector<double> freqs;  // logspace(fmin, 1 GHz, 101)
+};
+
+FdOtaBench fd_ota_bench(const FdOtaDesign& design, const tech::Technology& t);
+
 // Simulator verification: differential AC response, output common-mode
 // accuracy, CM-loop step stability, differential swing.
 struct MeasuredFdOta {

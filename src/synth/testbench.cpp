@@ -121,6 +121,22 @@ OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
   return null;
 }
 
+double open_loop_fmin(const OpAmpDesign& d, const MeasureOptions& opts) {
+  double fmin = opts.ac_fmin;
+  if (d.predicted.gain_db > 0.0 && d.predicted.gbw > 0.0) {
+    const double pole_est =
+        d.predicted.gbw / util::from_db20(d.predicted.gain_db);
+    fmin = std::min(fmin, std::max(pole_est / 30.0, 1e-4));
+  }
+  return fmin;
+}
+
+std::vector<double> open_loop_freqs(const OpAmpDesign& d,
+                                    const MeasureOptions& opts) {
+  return num::logspace(open_loop_fmin(d, opts), opts.ac_fmax,
+                       opts.ac_points);
+}
+
 MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
                             const tech::Technology& t,
                             const MeasureOptions& opts) {
@@ -150,19 +166,9 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
   }
 
   // --- differential AC: gain, GBW, PM, Bode -----------------------------------
-  // The sweep must start a decade-plus below the dominant pole or the "DC"
-  // gain sample and the phase reference are already rolling off; estimate
-  // the pole from the design's predicted gain and GBW.
-  double fmin = opts.ac_fmin;
-  if (design.predicted.gain_db > 0.0 && design.predicted.gbw > 0.0) {
-    const double pole_est = design.predicted.gbw /
-                            util::from_db20(design.predicted.gain_db);
-    fmin = std::min(fmin, std::max(pole_est / 30.0, 1e-4));
-  }
-  const std::vector<double> freqs =
-      num::logspace(fmin, opts.ac_fmax, opts.ac_points);
-  const sim::AcResult ac =
-      sim::ac_analysis(bench.circuit, t, op, freqs, opts.jobs);
+  const double fmin = open_loop_fmin(design, opts);
+  const sim::AcResult ac = sim::ac_analysis(
+      bench.circuit, t, op, open_loop_freqs(design, opts), opts.jobs);
   if (!ac.ok) {
     m.error = "AC analysis failed: " + ac.error;
     return m;

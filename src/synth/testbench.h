@@ -47,6 +47,16 @@ struct MeasureOptions {
   std::size_t jobs = 0;
 };
 
+// The open-loop AC grid that verification and yield read gain, GBW and
+// phase margin on.  The sweep must start a decade-plus below the dominant
+// pole, or the "DC" gain sample and the phase reference are already
+// rolling off: open_loop_fmin is opts.ac_fmin, pulled down to a 30th of
+// the pole the design predicts (gbw / gain), floored at 1e-4 Hz.
+double open_loop_fmin(const OpAmpDesign& d, const MeasureOptions& opts = {});
+// logspace(open_loop_fmin, opts.ac_fmax, opts.ac_points).
+std::vector<double> open_loop_freqs(const OpAmpDesign& d,
+                                    const MeasureOptions& opts = {});
+
 struct MeasuredOpAmp {
   bool ok = false;
   std::string error;

@@ -5,10 +5,8 @@
 #include <sstream>
 
 #include "exec/executor.h"
-#include "numeric/interpolate.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "spice/ac.h"
 #include "spice/dc.h"
 #include "spice/measure.h"
 #include "spice/workspace.h"
@@ -17,7 +15,6 @@
 #include "util/fingerprint.h"
 #include "util/rng.h"
 #include "util/text.h"
-#include "util/units.h"
 
 namespace oasys::yield {
 
@@ -96,6 +93,33 @@ std::string YieldParams::canonical_string() const {
       .str();
 }
 
+SampleFixture::SampleFixture(const tech::Technology& t,
+                             const synth::OpAmpDesign& design)
+    : base(design, t), freqs(synth::open_loop_freqs(design)) {
+  sigma_vt.reserve(base.circuit.mosfets().size());
+  for (const auto& m : base.circuit.mosfets()) {
+    const tech::MosParams& p =
+        m.type == mos::MosType::kNmos ? t.nmos : t.pmos;
+    sigma_vt.push_back(p.sigma_vt(m.geom.w * m.geom.m, m.geom.l));
+  }
+  // Computed once before any fan-out: every sample warm-starts its offset
+  // null from these bytes, so there is no cross-sample solver state and
+  // no partitioning dependence.
+  const sim::OpResult op = sim::dc_operating_point(base.circuit, t, {});
+  if (op.converged) nominal = op.solution;
+}
+
+synth::OpenLoopBench SampleFixture::draw(std::uint64_t seed,
+                                         std::size_t index) const {
+  synth::OpenLoopBench bench = base;
+  ckt::Circuit& c = bench.circuit;
+  util::RngStream rng(seed, index);
+  for (std::size_t k = 0; k < c.mosfets().size(); ++k) {
+    c.set_mosfet_dvt(c.mosfets()[k].name, sigma_vt[k] * rng.next_gauss());
+  }
+  return bench;
+}
+
 YieldResult analyze_yield(const tech::Technology& t,
                           const synth::SynthesisResult& synthesis,
                           const YieldParams& params) {
@@ -125,69 +149,34 @@ YieldResult analyze_yield(const tech::Technology& t,
   }
   const synth::OpAmpDesign& design = *best;
 
-  // Shared open-loop bench, built once; samples copy it and only touch
-  // the per-device dvt fields.  Same fixture as the nominal verification.
-  const synth::OpenLoopBench base(design, t);
-  const sim::MnaLayout layout(base.circuit);
-
-  // Per-device sigma(VT) from the area law, in mosfets() order — the draw
-  // order every sample replays.
-  std::vector<double> sigma_vt;
-  sigma_vt.reserve(base.circuit.mosfets().size());
-  for (const auto& m : base.circuit.mosfets()) {
-    const tech::MosParams& p =
-        m.type == mos::MosType::kNmos ? t.nmos : t.pmos;
-    sigma_vt.push_back(p.sigma_vt(m.geom.w * m.geom.m, m.geom.l));
-  }
-
-  // Nominal operating point, computed once before the fan-out: every
-  // sample warm-starts its offset null from these bytes, so there is no
-  // cross-sample solver state and no partitioning dependence.
-  std::vector<double> nominal;
-  {
-    const sim::OpResult op = sim::dc_operating_point(base.circuit, t, {});
-    if (op.converged) nominal = op.solution;
-  }
-
-  // AC grid, fixed for every sample (same pole-anchored fmin heuristic as
-  // the nominal testbench).
-  double fmin = 1.0;
-  if (design.predicted.gain_db > 0.0 && design.predicted.gbw > 0.0) {
-    const double pole_est =
-        design.predicted.gbw / util::from_db20(design.predicted.gain_db);
-    fmin = std::min(fmin, std::max(pole_est / 30.0, 1e-4));
-  }
-  const std::vector<double> freqs = num::logspace(fmin, 1e9, 121);
-
+  const SampleFixture fixture(t, design);
   const std::vector<Axis> axes = spec_axes(design.spec);
   const std::size_t n = static_cast<std::size_t>(params.samples);
   std::vector<Sample> samples(n);
-  const std::size_t lanes = exec::lane_count(n, params.jobs);
-  std::vector<sim::SimWorkspace> scratch(lanes);
+  // Per-lane scratch: DC Newton buffers and the AC walk's kernel and
+  // series, reused by every sample the lane drains.
+  struct LaneScratch {
+    sim::SimWorkspace dc;
+    sim::OpenLoopScratch ac;
+  };
+  std::vector<LaneScratch> scratch(exec::lane_count(n, params.jobs));
 
   exec::parallel_for_lanes(
       n,
       [&](std::size_t i, std::size_t lane) {
-        synth::OpenLoopBench bench = base;
-        ckt::Circuit& c = bench.circuit;
-        util::RngStream rng(params.seed, i);
-        for (std::size_t k = 0; k < c.mosfets().size(); ++k) {
-          c.set_mosfet_dvt(c.mosfets()[k].name,
-                           sigma_vt[k] * rng.next_gauss());
-        }
-
+        synth::OpenLoopBench bench = fixture.draw(params.seed, i);
         Sample& s = samples[i];
-        const synth::OffsetNull null =
-            synth::measure_offset(&bench, t, nominal, &scratch[lane]);
+        const synth::OffsetNull null = synth::measure_offset(
+            &bench, t, fixture.nominal, &scratch[lane].dc);
         if (!null.ok) return;
         s.offset = std::abs(null.vid);
 
         // Serial AC inside the sample: the fan-out is across samples.
-        const sim::AcResult ac = sim::ac_analysis(c, t, null.op, freqs, 1);
-        if (!ac.ok) return;
-        const sim::BodeSeries bode =
-            sim::bode_of_node(ac, layout, bench.nodes.out);
-        const sim::LoopMetrics lm = sim::loop_metrics(bode);
+        const sim::OpenLoopMetrics ol = sim::open_loop_metrics(
+            bench.circuit, null.op, fixture.freqs, {bench.nodes.out},
+            &scratch[lane].ac);
+        if (!ol.ok) return;
+        const sim::LoopMetrics& lm = ol.metrics;
         s.gain_db = lm.dc_gain_db;
         s.gbw = lm.unity_gain_freq.value_or(0.0);
         s.pm_deg = lm.phase_margin_deg.value_or(0.0);

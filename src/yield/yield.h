@@ -5,10 +5,15 @@
 // flows must also report *yield*: the fraction of fabricated instances
 // that still meet the spec under random device mismatch.  This module
 // draws N mismatch samples, re-measures each perturbed instance through
-// the same open-loop bench the nominal verification uses (offset null and
-// the DC operating point there from one bordered Newton solve, AC sweep,
-// loop metrics), and reduces to
+// the same open-loop bench the nominal verification uses, and reduces to
 // yield / sigma / percentile statistics per spec metric.
+//
+// One sample is one bordered Newton solve (the offset null and the DC
+// operating point there) plus a lazy walk of the verification AC grid
+// (sim::open_loop_metrics): about 20 of its 121 points, the ones DC gain,
+// GBW and phase margin read.  Exactness contract: those three figures are
+// bit-identical to a full 121-point sweep read by sim::loop_metrics, under
+// the walk's documented proviso (spice/measure.h).
 //
 // Determinism contract (the whole point of the design):
 //  * sample i draws from util::RngStream(seed, i) — a pure function of
@@ -28,6 +33,7 @@
 
 #include "core/spec.h"
 #include "synth/oasys.h"
+#include "synth/testbench.h"
 #include "tech/technology.h"
 
 namespace oasys::yield {
@@ -76,6 +82,24 @@ struct YieldResult {
   std::uint64_t pass_count = 0;
   double yield = 0.0;  // pass_count / samples_requested
   std::vector<MetricStats> metrics;
+};
+
+// What every sample of analyze_yield starts from, built once per design.
+// Exposed so tests can replay any sample outside the fan-out.
+struct SampleFixture {
+  SampleFixture(const tech::Technology& t, const synth::OpAmpDesign& design);
+
+  // The bench of sample `index`: `base` with the mismatch draw of
+  // util::RngStream(seed, index) applied to every device's VT.
+  synth::OpenLoopBench draw(std::uint64_t seed, std::size_t index) const;
+
+  synth::OpenLoopBench base;     // nominal open-loop bench
+  std::vector<double> sigma_vt;  // per-device sigma(VT), mosfets() order
+  // Nominal operating point every offset null warm-starts from; empty
+  // when it did not converge.
+  std::vector<double> nominal;
+  // The AC grid, synth::open_loop_freqs: the verification sweep's grid.
+  std::vector<double> freqs;
 };
 
 // Monte-Carlo analysis of an already-synthesized result.  Fails (ok ==

@@ -3,8 +3,8 @@
 // Replaces global operator new/delete with counting versions, runs each
 // kernel loop twice, and asserts the second pass performs zero heap
 // allocations: the first pass grows the workspace buffers, after which the
-// Newton iteration and the per-frequency AC solve must be steady-state
-// allocation-free.  Everything inside a counted region is plain arithmetic
+// Newton iteration, the per-frequency AC kernel and the open-loop AC walk
+// must be steady-state allocation-free.  Everything inside a counted region is plain arithmetic
 // on preallocated storage — no gtest assertions, no string building —
 // except the bordered-solve check, which compares whole warm
 // dc_operating_point calls that differ only in their iteration count.
@@ -22,7 +22,7 @@
 #include "numeric/linear.h"
 #include "spice/ac.h"
 #include "spice/dc.h"
-#include "spice/small_signal.h"
+#include "spice/measure.h"
 #include "tech/builtin.h"
 #include "util/units.h"
 
@@ -245,57 +245,52 @@ TEST(AllocFree, AcSweepKernelLoopIsAllocationFreeWhenWarm) {
   const Circuit c = amp_circuit(t);
   const OpResult op = dc_operating_point(c, t);
   ASSERT_TRUE(op.converged);
-
-  NonlinearSystem sys(c, t);
-  const MnaLayout& layout = sys.layout();
-  const std::size_t n = layout.size();
-  num::RealMatrix g, cap;
-  build_small_signal_matrices(c, layout, op, &g, &cap);
-  const double* g_flat = g.data();
-  const double* cap_flat = cap.data();
-  std::vector<Cplx> rhs(n, Cplx{});
-  for (std::size_t k = 0; k < c.vsources().size(); ++k) {
-    const auto& v = c.vsources()[k];
-    if (v.wave.ac_mag() != 0.0) {
-      const double ph = util::rad(v.wave.ac_phase_deg());
-      rhs[layout.branch_index(k)] = std::polar(v.wave.ac_mag(), ph);
-    }
-  }
+  const std::size_t n = MnaLayout(c).size();
   const std::vector<double> freqs = num::logspace(1.0, 1e8, 50);
 
-  // The per-lane AC loop from ac_analysis: one reused complex matrix and
-  // factorization, solutions solved in place into preallocated slots.
-  num::ComplexMatrix y;
-  num::LuFactors<Cplx> lu;
+  // The per-lane loop of ac_analysis on the shared kernel: re-stamp the
+  // operating point, then one reused matrix + factorization, solutions
+  // solved in place into preallocated slots.
+  AcKernel kernel;
+  AcPointScratch ws;
   std::vector<std::vector<Cplx>> solutions(freqs.size(),
                                            std::vector<Cplx>(n));
-  bool singular = false;
+  bool failed = false;
   auto ac_pass = [&] {
-    singular = false;
-    for (std::size_t i = 0; i < freqs.size(); ++i) {
-      const double w = util::kTwoPi * freqs[i];
-      if (y.rows() != n || y.cols() != n) y = num::ComplexMatrix(n, n);
-      Cplx* yd = y.data();
-      for (std::size_t k = 0; k < n * n; ++k) {
-        yd[k] = Cplx(g_flat[k], w * cap_flat[k]);
-      }
-      num::lu_factor_in_place(&y, &lu);
-      if (lu.singular) {
-        singular = true;
-        return;
-      }
-      std::vector<Cplx>& sol = solutions[i];
-      sol = rhs;  // same size: copies into existing storage
-      num::lu_solve_in_place(lu, &sol);
+    failed = kernel.assemble(c, op) != nullptr;
+    for (std::size_t i = 0; i < freqs.size() && !failed; ++i) {
+      failed = !kernel.solve(freqs[i], &ws, &solutions[i]);
     }
   };
 
-  ac_pass();  // first pass grows the matrix, factor, and pivot buffers
-  ASSERT_FALSE(singular);
+  ac_pass();  // first pass grows the stamps, matrix, factor, pivot buffers
+  ASSERT_FALSE(failed);
   const std::size_t allocs = count_allocations(ac_pass);
-  ASSERT_FALSE(singular);
+  ASSERT_FALSE(failed);
   EXPECT_EQ(allocs, 0u)
       << "warm AC sweep kernel loop performed heap allocations";
+}
+
+TEST(AllocFree, OpenLoopWalkIsAllocationFreeOnWarmScratch) {
+  const tech::Technology t = tech::five_micron();
+  const Circuit c = amp_circuit(t);
+  const OpResult op = dc_operating_point(c, t);
+  ASSERT_TRUE(op.converged);
+  const std::vector<double> freqs = num::logspace(1.0, 1e9, 121);
+  const AcProbe probe{*c.find_node("out")};
+
+  // One lane's scratch, as yield keeps it: the first walk sizes the
+  // kernel, factorization and series buffers; later walks reuse them.
+  OpenLoopScratch scratch;
+  OpenLoopMetrics walk = open_loop_metrics(c, op, freqs, probe, &scratch);
+  ASSERT_TRUE(walk.ok) << walk.error;
+  ASSERT_TRUE(walk.metrics.unity_gain_freq.has_value());
+  const OpenLoopMetrics first = walk;
+  const std::size_t allocs = count_allocations(
+      [&] { walk = open_loop_metrics(c, op, freqs, probe, &scratch); });
+  ASSERT_TRUE(walk.ok);
+  EXPECT_EQ(walk.metrics.unity_gain_freq, first.metrics.unity_gain_freq);
+  EXPECT_EQ(allocs, 0u) << "warm open-loop walk performed heap allocations";
 }
 
 }  // namespace

@@ -3,6 +3,11 @@
 // stability, and simulator agreement on the differential axes.
 #include <gtest/gtest.h>
 
+#include <complex>
+
+#include "spice/ac.h"
+#include "spice/dc.h"
+#include "spice/measure.h"
 #include "synth/fd_ota.h"
 #include "tech/builtin.h"
 #include "util/units.h"
@@ -73,6 +78,35 @@ TEST(FdOta, SimulatorAgreesOnDifferentialAxes) {
   EXPECT_NEAR(m.gbw / d.predicted.gbw, 1.0, 0.35);
   EXPECT_GE(m.swing_pos, d.predicted.swing_pos * 0.9);
   EXPECT_GE(m.swing_neg, d.predicted.swing_neg * 0.9);
+}
+
+TEST(FdOta, DifferentialWalkMatchesTheFull101PointSweep) {
+  const FdOtaDesign d = design_fd_ota(tech5(), fd_spec());
+  ASSERT_TRUE(d.feasible);
+  const MeasuredFdOta m = measure_fd_ota(d, tech5());
+  ASSERT_TRUE(m.ok) << m.error;
+
+  // The full sweep the walk replaces: v(outp) - v(outm) at all 101 points.
+  const FdOtaBench bench = fd_ota_bench(d, tech5());
+  ASSERT_EQ(bench.freqs.size(), 101u);
+  const sim::OpResult op = sim::dc_operating_point(bench.circuit, tech5());
+  ASSERT_TRUE(op.converged);
+  const sim::AcResult ac =
+      sim::ac_analysis(bench.circuit, tech5(), op, bench.freqs);
+  ASSERT_TRUE(ac.ok) << ac.error;
+  const sim::MnaLayout layout(bench.circuit);
+  sim::BodeSeries bode;
+  for (std::size_t i = 0; i < bench.freqs.size(); ++i) {
+    append_bode_point(&bode, bench.freqs[i],
+                      ac.voltage(layout, i, bench.nodes.outp) -
+                          ac.voltage(layout, i, bench.nodes.outm));
+  }
+  const sim::LoopMetrics full = sim::loop_metrics(bode);
+  ASSERT_TRUE(full.unity_gain_freq.has_value());
+  ASSERT_TRUE(full.phase_margin_deg.has_value());
+  EXPECT_EQ(m.gain_db, full.dc_gain_db);
+  EXPECT_EQ(m.gbw, *full.unity_gain_freq);
+  EXPECT_EQ(m.pm_deg, *full.phase_margin_deg);
 }
 
 TEST(FdOta, CommonModeLoopRegulatesAndSettles) {

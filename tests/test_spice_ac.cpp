@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <functional>
+#include <vector>
 
 #include "numeric/interpolate.h"
+#include "obs/metrics.h"
 #include "spice/ac.h"
 #include "spice/measure.h"
 #include "tech/builtin.h"
@@ -242,6 +247,252 @@ TEST(Measure, FirstCrossingNoneWhenGainBelowUnity) {
   const LoopMetrics m = loop_metrics(b);
   EXPECT_FALSE(m.unity_gain_freq.has_value());
   EXPECT_FALSE(m.phase_margin_deg.has_value());
+}
+
+// ---- open-loop walk -----------------------------------------------------------
+//
+// Every case compares the walk with the full sweep it replaces, bitwise:
+// loop_metrics over every grid point vs. the walk's compressed series.
+
+using Cplx = std::complex<double>;
+using Response = std::function<Cplx(double)>;
+
+// The grid yield and verification walk: 121 points, here over 1 Hz..1 GHz.
+std::vector<double> walk_grid() { return num::logspace(1.0, 1e9, 121); }
+
+LoopMetrics full_sweep(const std::vector<double>& freqs, const Response& h) {
+  BodeSeries b;
+  for (const double f : freqs) append_bode_point(&b, f, h(f));
+  return loop_metrics(b);
+}
+
+// Walks `h` over `freqs`; *solved counts the points evaluated.
+LoopMetrics walked(const std::vector<double>& freqs, const Response& h,
+                   std::size_t* solved, BodeSeries* series = nullptr) {
+  BodeSeries local;
+  BodeSeries& b = series != nullptr ? *series : local;
+  *solved = 0;
+  const bool ok = walk_open_loop_grid(
+      freqs,
+      [&](std::size_t i, Cplx* v) {
+        ++*solved;
+        *v = h(freqs[i]);
+        return true;
+      },
+      &b);
+  EXPECT_TRUE(ok);
+  return loop_metrics(b);
+}
+
+void expect_same_crossing_metrics(const LoopMetrics& walk,
+                                  const LoopMetrics& full) {
+  EXPECT_EQ(walk.dc_gain_db, full.dc_gain_db);
+  EXPECT_EQ(walk.unity_gain_freq, full.unity_gain_freq);
+  EXPECT_EQ(walk.phase_margin_deg, full.phase_margin_deg);
+}
+
+// Real poles (Hz) under DC gain k: k / prod(1 + jf/p).
+Response poles(double k, std::vector<double> ps) {
+  return [k, ps](double f) {
+    Cplx h(k, 0.0);
+    for (const double p : ps) h /= Cplx(1.0, f / p);
+    return h;
+  };
+}
+
+// The coarse-only grid: point 0 and every stride-th point.
+std::size_t coarse_points(std::size_t n) {
+  return 1 + (n - 1 + kOpenLoopStride - 1) / kOpenLoopStride;
+}
+
+TEST(OpenLoopWalk, TwoPoleCrossingSolvesAFractionOfTheGrid) {
+  const auto freqs = walk_grid();
+  const Response h = poles(1e4, {1e2, 3e6});
+  std::size_t solved = 0;
+  const LoopMetrics w = walked(freqs, h, &solved);
+  const LoopMetrics full = full_sweep(freqs, h);
+  ASSERT_TRUE(full.unity_gain_freq.has_value());
+  expect_same_crossing_metrics(w, full);
+  EXPECT_LE(solved, 25u);
+}
+
+TEST(OpenLoopWalk, InvertingResponseKeepsTheFirstPointFold) {
+  const auto freqs = walk_grid();
+  // DC phase sits at the ±180° branch point: rotated by +0.57° the first
+  // principal value is about -179.5° and needs the fold, rotated by -0.57°
+  // it is about +179.4° and must be left alone.
+  for (const double lag : {1e-2, -1e-2}) {
+    const Response h = [lag](double f) {
+      return poles(-1e3, {1e3, 1e7})(f) * std::polar(1.0, lag);
+    };
+    std::size_t solved = 0;
+    BodeSeries series;
+    const LoopMetrics w = walked(freqs, h, &solved, &series);
+    EXPECT_NEAR(series.phase_deg.front(), 180.0, 1.0);
+    const LoopMetrics full = full_sweep(freqs, h);
+    ASSERT_TRUE(full.phase_margin_deg.has_value());
+    expect_same_crossing_metrics(w, full);
+  }
+}
+
+TEST(OpenLoopWalk, GainNeverReachingUnityWalksTheCoarseGridOnly) {
+  const auto freqs = walk_grid();
+  const Response h = poles(1e6, {1e7});  // still +20 dB at 1 GHz
+  std::size_t solved = 0;
+  const LoopMetrics w = walked(freqs, h, &solved);
+  const LoopMetrics full = full_sweep(freqs, h);
+  EXPECT_FALSE(full.unity_gain_freq.has_value());
+  expect_same_crossing_metrics(w, full);
+  EXPECT_EQ(solved, coarse_points(freqs.size()));
+}
+
+TEST(OpenLoopWalk, DcGainBelowUnityHasNoCrossing) {
+  const auto freqs = walk_grid();
+  const Response h = poles(0.5, {1e3});
+  std::size_t solved = 0;
+  const LoopMetrics w = walked(freqs, h, &solved);
+  const LoopMetrics full = full_sweep(freqs, h);
+  EXPECT_LT(full.dc_gain_db, 0.0);
+  EXPECT_FALSE(full.unity_gain_freq.has_value());
+  expect_same_crossing_metrics(w, full);
+  EXPECT_EQ(solved, coarse_points(freqs.size()));
+}
+
+TEST(OpenLoopWalk, CrossingExactlyOnAGridPoint) {
+  const auto freqs = walk_grid();
+  // H is exactly 1 at grid point `k` (falling 1 dB and turning 1° per
+  // point): inside a coarse interval, on a coarse point, and at point 0.
+  for (const std::size_t k : {std::size_t{43}, std::size_t{40},
+                              std::size_t{0}}) {
+    const Response h = [&freqs, k](double f) {
+      const double i = static_cast<double>(
+          std::lower_bound(freqs.begin(), freqs.end(), f) - freqs.begin());
+      const double steps = static_cast<double>(k) - i;  // 1 dB per point
+      return std::polar(std::pow(10.0, steps / 20.0), util::rad(steps));
+    };
+    ASSERT_EQ(std::abs(h(freqs[k])), 1.0);
+    std::size_t solved = 0;
+    const LoopMetrics w = walked(freqs, h, &solved);
+    const LoopMetrics full = full_sweep(freqs, h);
+    ASSERT_EQ(full.unity_gain_freq, freqs[k]) << "k = " << k;
+    expect_same_crossing_metrics(w, full);
+  }
+}
+
+TEST(OpenLoopWalk, ClusteredPolePairForcesTheQuarterTurnFill) {
+  const auto freqs = walk_grid();
+  // A Q = 20 complex pair on a real pole, all at 10 kHz: the phase turns
+  // ~210° inside one coarse interval, well before the crossing.
+  const Response h = [](double f) {
+    const double u = f / 1e4;
+    return 1e4 / (Cplx(1.0 - u * u, u / 20.0) * Cplx(1.0, u));
+  };
+  std::size_t solved = 0;
+  const LoopMetrics w = walked(freqs, h, &solved);
+  const LoopMetrics full = full_sweep(freqs, h);
+  ASSERT_TRUE(full.phase_margin_deg.has_value());
+  expect_same_crossing_metrics(w, full);
+
+  // Coarse points up to the crossing plus its fill would leave the
+  // resonance unfilled; the walk spent more than that.
+  const auto ugf_hi = static_cast<std::size_t>(
+      std::upper_bound(freqs.begin(), freqs.end(), *full.unity_gain_freq) -
+      freqs.begin());
+  const std::size_t crossing_only =
+      ugf_hi / kOpenLoopStride + kOpenLoopStride + 1;
+  EXPECT_GT(solved, crossing_only);
+
+  // Without the fill, the coarse unwrap lands a full turn off.
+  BodeSeries coarse;
+  for (std::size_t i = 0; i < freqs.size(); i += kOpenLoopStride) {
+    append_bode_point(&coarse, freqs[i], h(freqs[i]));
+  }
+  const LoopMetrics unfilled = loop_metrics(coarse);
+  ASSERT_TRUE(unfilled.phase_margin_deg.has_value());
+  EXPECT_NEAR(std::abs(*unfilled.phase_margin_deg - *full.phase_margin_deg),
+              360.0, 30.0);
+}
+
+// A buffered three-section RC ladder behind an inverting source of gain
+// 1000: three real poles, an inverting DC phase, a crossing near 3 MHz.
+struct Ladder {
+  Circuit c;
+  ckt::NodeId n1, n2, n3;
+};
+
+Ladder inverting_ladder() {
+  Ladder l;
+  Circuit& c = l.c;
+  const auto in = c.node("in");
+  l.n1 = c.node("n1");
+  l.n2 = c.node("n2");
+  l.n3 = c.node("n3");
+  c.add_vsource("V1", in, ckt::kGround, Waveform::ac(0.0, 1000.0, 180.0));
+  c.add_resistor("R1", in, l.n1, 1e3);
+  c.add_capacitor("C1", l.n1, ckt::kGround, 1e-9);
+  c.add_resistor("R2", l.n1, l.n2, 1e6);
+  c.add_capacitor("C2", l.n2, ckt::kGround, 1e-13);
+  c.add_resistor("R3", l.n2, l.n3, 1e9);
+  c.add_capacitor("C3", l.n3, ckt::kGround, 1e-17);
+  return l;
+}
+
+TEST(OpenLoopWalk, CircuitWalkMatchesTheFullSweepAndCountsItsPoints) {
+  const Ladder l = inverting_ladder();
+  const OpResult op = dc_operating_point(l.c, tech5());
+  ASSERT_TRUE(op.converged);
+  const auto freqs = walk_grid();
+  const MnaLayout layout(l.c);
+  const AcResult ac = ac_analysis(l.c, tech5(), op, freqs, 1);
+  ASSERT_TRUE(ac.ok);
+
+  obs::Counter& points = obs::Registry::global().counter("sim.ac.points");
+  obs::Counter& sweeps = obs::Registry::global().counter("sim.ac.sweeps");
+  OpenLoopScratch scratch;
+  // Single node, then a differential probe: v(n3) - v(n1).
+  for (const AcProbe probe : {AcProbe{l.n3}, AcProbe{l.n3, l.n1}}) {
+    BodeSeries full_series;
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+      append_bode_point(&full_series, freqs[i],
+                        ac.voltage(layout, i, probe.pos) -
+                            ac.voltage(layout, i, probe.neg));
+    }
+    const LoopMetrics full = loop_metrics(full_series);
+    ASSERT_TRUE(full.unity_gain_freq.has_value());
+
+    const std::uint64_t points0 = points.value();
+    const std::uint64_t sweeps0 = sweeps.value();
+    const OpenLoopMetrics w =
+        open_loop_metrics(l.c, op, freqs, probe, &scratch);
+    ASSERT_TRUE(w.ok) << w.error;
+    expect_same_crossing_metrics(w.metrics, full);
+    EXPECT_FALSE(w.metrics.gain_margin_db.has_value());
+    EXPECT_FALSE(w.metrics.bandwidth_3db.has_value());
+    EXPECT_EQ(sweeps.value() - sweeps0, 1u);
+    EXPECT_EQ(points.value() - points0, scratch.bode.freqs.size());
+    EXPECT_LT(scratch.bode.freqs.size(), freqs.size() / 4);
+  }
+  // The single-node probe reads exactly what bode_of_node reads.
+  const OpenLoopMetrics single =
+      open_loop_metrics(l.c, op, freqs, {l.n3}, nullptr);
+  expect_same_crossing_metrics(single.metrics,
+                               loop_metrics(bode_of_node(ac, layout, l.n3)));
+}
+
+TEST(OpenLoopWalk, RejectsWhatAcAnalysisRejects) {
+  const Ladder l = inverting_ladder();
+  OpResult bad;
+  const OpenLoopMetrics unconverged =
+      open_loop_metrics(l.c, bad, walk_grid(), {l.n3});
+  EXPECT_FALSE(unconverged.ok);
+  EXPECT_EQ(unconverged.error, "operating point did not converge");
+
+  const OpResult op = dc_operating_point(l.c, tech5());
+  ASSERT_TRUE(op.converged);
+  const OpenLoopMetrics zero_freq =
+      open_loop_metrics(l.c, op, {0.0, 1.0}, {l.n3});
+  EXPECT_FALSE(zero_freq.ok);
+  EXPECT_EQ(zero_freq.error, "AC frequency must be positive");
 }
 
 }  // namespace

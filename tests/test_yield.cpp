@@ -4,15 +4,28 @@
 // leans on: analyze_yield is a pure function of (technology, synthesis,
 // samples, seed) — bit-for-bit identical at every jobs setting and on
 // the cached path — and run_mixed answers mixed synth/yield traffic in
-// submission order with exactly those bytes.  Everything here compares
-// canonical yield_result_json renderings, the same bytes the golden
-// suite, the shard conformance check, and the daemon share.
+// submission order with exactly those bytes.  The determinism and service
+// tests compare canonical yield_result_json renderings, the same bytes the
+// golden suite, the shard conformance check, and the daemon share; the
+// exactness tests compare each sample's AC walk with the full sweep.
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "core/spec_parser.h"
+#include "exec/executor.h"
 #include "obs/metrics.h"
+#include "spice/ac.h"
+#include "spice/measure.h"
+#include "spice/workspace.h"
 #include "synth/oasys.h"
 #include "synth/result_json.h"
 #include "synth/test_cases.h"
@@ -172,6 +185,147 @@ TEST(YieldObservability, DeterministicCountersAdvance) {
                 static_cast<std::uint64_t>(r.samples_converged));
   EXPECT_EQ(counter(after, "yield.samples_passed"),
             counter(before, "yield.samples_passed") + r.pass_count);
+}
+
+// ---- exactness of the lazy AC walk --------------------------------------------
+//
+// A yield sample walks the AC grid (sim::open_loop_metrics) instead of
+// sweeping all of it.  These tests replay every sample of analyze_yield
+// through yield::SampleFixture and measure each nulled sample both ways:
+// the walk, and loop_metrics(bode_of_node(ac_analysis(full grid))).  The
+// three figures yield reads must agree bit for bit.
+
+#ifndef OASYS_GEN_WORKLOAD_PATH
+#error "test_yield requires OASYS_GEN_WORKLOAD_PATH (see tests/CMakeLists.txt)"
+#endif
+
+struct Reading {
+  bool converged = false;
+  double gain_db = 0.0;
+  std::optional<double> ugf;
+  std::optional<double> pm;
+};
+
+// Replays `samples` samples of `seed` on two exec lanes with per-lane DC and
+// AC scratch, as analyze_yield runs them, and compares walk and full sweep.
+// Returns the number of samples whose offset null converged (0 for an
+// infeasible spec, which has no samples).
+std::size_t expect_walk_matches_full_sweep(const tech::Technology& t,
+                                           const core::OpAmpSpec& spec,
+                                           std::uint64_t seed, int samples) {
+  const synth::SynthesisResult synthesis = synth::synthesize_opamp(t, spec);
+  const synth::OpAmpDesign* design = synthesis.best();
+  if (design == nullptr) return 0;
+  SCOPED_TRACE(spec.name + " on " + t.name + ", seed " +
+               std::to_string(seed));
+  const yield::SampleFixture fixture(t, *design);
+  EXPECT_EQ(fixture.freqs.size(), 121u);
+
+  const std::size_t n = static_cast<std::size_t>(samples);
+  std::vector<Reading> walk(n);
+  std::vector<Reading> full(n);
+  std::vector<char> nulled(n, 0);
+  struct Lane {
+    sim::SimWorkspace dc;
+    sim::OpenLoopScratch ac;
+  };
+  std::vector<Lane> lanes(exec::lane_count(n, 2));
+  exec::parallel_for_lanes(
+      n,
+      [&](std::size_t i, std::size_t lane) {
+        synth::OpenLoopBench bench = fixture.draw(seed, i);
+        const synth::OffsetNull null = synth::measure_offset(
+            &bench, t, fixture.nominal, &lanes[lane].dc);
+        if (!null.ok) return;
+        nulled[i] = 1;
+        const sim::OpenLoopMetrics w = sim::open_loop_metrics(
+            bench.circuit, null.op, fixture.freqs, {bench.nodes.out},
+            &lanes[lane].ac);
+        walk[i] = {w.ok, w.metrics.dc_gain_db, w.metrics.unity_gain_freq,
+                   w.metrics.phase_margin_deg};
+        const sim::AcResult ac =
+            sim::ac_analysis(bench.circuit, t, null.op, fixture.freqs, 1);
+        if (!ac.ok) return;
+        const sim::LoopMetrics lm = sim::loop_metrics(sim::bode_of_node(
+            ac, sim::MnaLayout(bench.circuit), bench.nodes.out));
+        full[i] = {true, lm.dc_gain_db, lm.unity_gain_freq,
+                   lm.phase_margin_deg};
+      },
+      2);
+  for (std::size_t i = 0; i < n; ++i) {
+    SCOPED_TRACE("sample " + std::to_string(i));
+    EXPECT_EQ(walk[i].converged, full[i].converged);
+    EXPECT_EQ(walk[i].gain_db, full[i].gain_db);
+    EXPECT_EQ(walk[i].ugf, full[i].ugf);
+    EXPECT_EQ(walk[i].pm, full[i].pm);
+  }
+  std::size_t compared = 0;
+  for (const char c : nulled) compared += c != 0 ? 1 : 0;
+  return compared;
+}
+
+TEST(YieldExactness, PaperCasesWalkEqualsFullSweepOnBothTechnologies) {
+  for (const tech::Technology& t :
+       {tech::five_micron(), tech::three_micron()}) {
+    for (const core::OpAmpSpec& spec : synth::paper_test_cases()) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        EXPECT_GT(expect_walk_matches_full_sweep(t, spec, seed, 64), 0u)
+            << spec.name << " on " << t.name;
+      }
+    }
+  }
+}
+
+// Specs from oasys_gen_workload: jittered paper cases, as the serving
+// benchmarks replay them.
+std::vector<core::OpAmpSpec> generated_corpus(long count, long seed) {
+  const std::string dir = "/tmp/oasys-test-yield-corpus-" +
+                          std::to_string(::getpid());
+  const std::string cmd = std::string(OASYS_GEN_WORKLOAD_PATH) + " --dir " +
+                          dir + " --count " + std::to_string(count) +
+                          " --seed " + std::to_string(seed) + " > /dev/null";
+  if (std::system(cmd.c_str()) != 0) return {};
+  std::vector<core::OpAmpSpec> specs;
+  std::ifstream manifest(dir + "/workload.tsv");
+  std::string line;
+  while (std::getline(manifest, line)) {
+    std::istringstream fields(line);
+    std::string kind;
+    std::string file;
+    fields >> kind >> file;
+    const core::SpecParseResult r =
+        core::load_opamp_spec_file(dir + "/" + file);
+    if (r.ok()) specs.push_back(r.spec);
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return specs;
+}
+
+TEST(YieldExactness, GeneratedCorpusWalkEqualsFullSweep) {
+  const std::vector<core::OpAmpSpec> corpus = generated_corpus(32, 5);
+  ASSERT_EQ(corpus.size(), 32u);
+  std::size_t compared = 0;
+  for (const tech::Technology& t :
+       {tech::five_micron(), tech::three_micron()}) {
+    for (const core::OpAmpSpec& spec : corpus) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        compared += expect_walk_matches_full_sweep(t, spec, seed, 64);
+      }
+    }
+  }
+  EXPECT_GT(compared, corpus.size() * 64);
+}
+
+TEST(YieldExactness, CaseCSampleSolvesAtMost25AcPoints) {
+  const synth::SynthesisResult synthesis =
+      synth::synthesize_opamp(tech5(), synth::spec_case_c());
+  obs::Counter& points = obs::Registry::global().counter("sim.ac.points");
+  const std::uint64_t before = points.value();
+  const yield::YieldResult r =
+      yield::analyze_yield(tech5(), synthesis, params(64, 1, 2));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_LE(points.value() - before, 25u * 64u);
 }
 
 // ---- YieldService mixed traffic ---------------------------------------------
