@@ -1,6 +1,6 @@
 // Circuit-simulator microbenchmarks: operating point, AC sweep, and
 // transient throughput on a synthesized op amp — the substrate cost behind
-// every verification run.
+// every verification run — and the Monte-Carlo yield sweep built on them.
 //
 // Two modes:
 //  * default — the google-benchmark timing loops;
@@ -33,6 +33,7 @@
 #include "synth/test_cases.h"
 #include "tech/builtin.h"
 #include "util/units.h"
+#include "yield/yield.h"
 
 #include "jobs_flag.h"
 #include "perf_json.h"
@@ -108,6 +109,28 @@ void BM_Transient200Steps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Transient200Steps);
+
+// One spec's Monte-Carlo yield sweep (case A, 64 samples, seed 1) at jobs
+// 1/2/4; the fan-out is across samples, each one a bordered offset solve
+// plus the AC walk.  `--benchmark_filter='BM_YieldAnalysis/1$'` is the
+// protocol behind the SIMD build's measured gain (README, "Performance").
+void BM_YieldAnalysis(benchmark::State& state) {
+  constexpr int kSamples = 64;
+  const tech::Technology t = tech::five_micron();
+  synth::SynthOptions serial;
+  serial.jobs = 1;
+  const synth::SynthesisResult synthesis =
+      synth::synthesize_opamp(t, synth::spec_case_a(), serial);
+  yield::YieldParams p;
+  p.samples = kSamples;
+  p.seed = 1;
+  p.jobs = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(yield::analyze_yield(t, synthesis, p));
+  }
+  state.SetItemsProcessed(state.iterations() * kSamples);
+}
+BENCHMARK(BM_YieldAnalysis)->Arg(1)->Arg(2)->Arg(4);
 
 // ---- JSON perf record -------------------------------------------------------
 

@@ -189,33 +189,6 @@ MixedConnectReport run_connected_mixed(
   return run_session_mixed(sock.fd, tech, synth_opts, requests);
 }
 
-ConnectReport run_connected_batch(const std::string& socket_path,
-                                  const tech::Technology& tech,
-                                  const synth::SynthOptions& synth_opts,
-                                  const std::vector<core::OpAmpSpec>& specs,
-                                  std::uint64_t trace_id) {
-  std::vector<yield::Request> requests(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    requests[i].spec = specs[i];
-    if (trace_id != 0) {
-      requests[i].trace_id = trace_id;
-      requests[i].span_id = obs::span_id_for(trace_id, i);
-    }
-  }
-  MixedConnectReport mixed =
-      run_connected_mixed(socket_path, tech, synth_opts, requests);
-  ConnectReport report;
-  report.outcomes.resize(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    report.outcomes[i].result = std::move(mixed.outcomes[i].result);
-    report.outcomes[i].error = std::move(mixed.outcomes[i].error);
-  }
-  report.metrics = std::move(mixed.metrics);
-  report.stats = mixed.stats;
-  report.worker_spans = std::move(mixed.worker_spans);
-  return report;
-}
-
 StatusReport fetch_status(const std::string& socket_path) {
   const shard::ScopedSigpipeIgnore sigpipe_guard;
   FdCloser sock{connect_unix(socket_path)};

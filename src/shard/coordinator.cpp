@@ -125,7 +125,7 @@ ShardReport run_sharded_requests(const tech::Technology& tech,
   if (options.worker_command.empty()) {
     throw std::invalid_argument("shard: worker_command must be set");
   }
-  OBS_SPAN("shard/run_sharded_batch");
+  OBS_SPAN("shard/run_sharded_requests");
   // Scoped over the whole run, loop thread included: the embedding
   // application's handler is restored only after that thread is joined.
   const ScopedSigpipeIgnore sigpipe_guard;
@@ -253,20 +253,6 @@ ShardReport run_sharded_requests(const tech::Technology& tech,
             });
   report.merged_metrics = std::move(merged);
   return report;
-}
-
-ShardReport run_sharded_batch(const tech::Technology& tech,
-                              const synth::SynthOptions& synth_opts,
-                              const std::vector<core::OpAmpSpec>& specs,
-                              const ShardOptions& options) {
-  std::vector<yield::Request> requests;
-  requests.reserve(specs.size());
-  for (const core::OpAmpSpec& s : specs) {
-    yield::Request r;
-    r.spec = s;
-    requests.push_back(std::move(r));
-  }
-  return run_sharded_requests(tech, synth_opts, requests, options);
 }
 
 }  // namespace oasys::shard

@@ -1,6 +1,6 @@
 // Coordinator half of cross-process sharded serving.
 //
-// run_sharded_requests partitions a batch of specs across N worker
+// run_sharded_requests partitions a batch of requests across N worker
 // processes by canonical request key: the same (technology, options,
 // spec) fingerprint the service layer caches under, finalized through
 // util::mix64 and reduced modulo the worker count.  Identical requests
@@ -15,11 +15,15 @@
 // wedges yields deterministic per-spec errors, never a hang, and
 // ShardReport::infra_ok() goes false.
 //
+// A batch is a yield::Request list; a plain synthesis batch is one whose
+// requests all have is_yield false (yield::synthesis_requests).
+//
 // Determinism contract: outcomes come back in global submission order,
-// and each ok() outcome is bit-for-bit what a single SynthesisService
-// (and therefore a direct synthesize_opamp call) returns for that spec —
-// at every worker count.  The conformance suite pins `oasys shard
-// --workers k` stdout byte-identical to `oasys batch` for k in {1,2,4}.
+// and each ok() outcome is bit-for-bit what a single yield::YieldService
+// (and therefore a direct synthesize_opamp or run_yield call) returns for
+// that request — at every worker count.  The conformance suite pins
+// `oasys shard --workers k` stdout byte-identical to `oasys batch` for k
+// in {1,2,4}.
 #pragma once
 
 #include <sys/types.h>
@@ -150,11 +154,5 @@ ShardReport run_sharded_requests(const tech::Technology& tech,
                                  const synth::SynthOptions& synth_opts,
                                  const std::vector<yield::Request>& requests,
                                  const ShardOptions& options);
-
-// Synthesis-only convenience wrapper over run_sharded_requests.
-ShardReport run_sharded_batch(const tech::Technology& tech,
-                              const synth::SynthOptions& synth_opts,
-                              const std::vector<core::OpAmpSpec>& specs,
-                              const ShardOptions& options);
 
 }  // namespace oasys::shard

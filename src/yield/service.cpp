@@ -10,6 +10,13 @@ std::string outcome_json(const Outcome& o) {
                     : synth::result_json(o.result);
 }
 
+std::vector<Request> synthesis_requests(
+    const std::vector<core::OpAmpSpec>& specs) {
+  std::vector<Request> requests(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) requests[i].spec = specs[i];
+  return requests;
+}
+
 YieldService::YieldService(tech::Technology tech,
                            synth::SynthOptions synth_opts,
                            service::ServiceOptions opts)
@@ -29,8 +36,7 @@ std::vector<Outcome> YieldService::run_mixed(
   std::vector<core::OpAmpSpec> specs;
   specs.reserve(requests.size());
   for (const Request& r : requests) specs.push_back(r.spec);
-  const std::vector<service::BatchOutcome> syn =
-      service_.run_batch_outcomes(specs);
+  std::vector<service::BatchOutcome> syn = service_.run_batch_outcomes(specs);
 
   // Phase 2: yield analyses, serially in submission order (the sample
   // fan-out inside analyze_yield is the parallel part).
@@ -47,13 +53,14 @@ std::vector<Outcome> YieldService::run_mixed(
     request_span.note(requests[i].spec.name);
     Outcome& o = out[i];
     o.is_yield = requests[i].is_yield;
+    o.seconds = syn[i].seconds;
     if (!syn[i].ok()) {
-      o.error = syn[i].error;
+      o.error = std::move(syn[i].error);
       request_span.note("synthesis failed");
       continue;
     }
     if (!o.is_yield) {
-      o.result = syn[i].result;
+      o.result = std::move(syn[i].result);
       continue;
     }
     // Workers and batch front-ends parallelize the sample loop with the

@@ -42,6 +42,11 @@ struct Request {
   std::uint64_t span_id = 0;
 };
 
+// A plain synthesis batch as a request list: one request per spec, every
+// is_yield false, untraced.
+std::vector<Request> synthesis_requests(
+    const std::vector<core::OpAmpSpec>& specs);
+
 // Per-request outcome, mirroring service::BatchOutcome: `error` is empty
 // when the request ran to completion (an infeasible spec is an ordinary
 // result), and holds the exception's what() when the computation threw.
@@ -50,6 +55,11 @@ struct Outcome {
   synth::SynthesisResult result;  // when !is_yield
   YieldResult yield;              // when is_yield
   std::string error;
+  // Service time [s] of the request's synthesis, as
+  // service::BatchOutcome::seconds reports it (the yield analysis is not
+  // included).  Timing-class: set by YieldService::run_mixed only, never
+  // carried on the wire or in any result byte.
+  double seconds = 0.0;
   bool ok() const { return error.empty(); }
 };
 

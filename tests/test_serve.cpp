@@ -24,7 +24,11 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -32,6 +36,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/spec_parser.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "service/service.h"
@@ -91,13 +96,13 @@ struct DaemonThread {
 
 // The daemon binds its socket on the run() thread, so the first client
 // can race it; retry the connection-refused window only.
-serve::ConnectReport connected_batch_retry(
+serve::MixedConnectReport connected_retry(
     const std::string& socket, const tech::Technology& t,
     const synth::SynthOptions& opts,
-    const std::vector<core::OpAmpSpec>& specs) {
+    const std::vector<yield::Request>& requests) {
   for (int attempt = 0;; ++attempt) {
     try {
-      return serve::run_connected_batch(socket, t, opts, specs);
+      return serve::run_connected_mixed(socket, t, opts, requests);
     } catch (const std::runtime_error& e) {
       if (attempt >= 1000 ||
           std::string(e.what()).find("cannot connect") == std::string::npos) {
@@ -163,9 +168,9 @@ TEST(ServeConformance, ByteIdenticalAcrossWorkerCountsAndRequests) {
 
     // Three consecutive requests on one daemon: the first fills both
     // cache tiers, the rest must replay identical bytes from them.
-    serve::ConnectReport last;
+    serve::MixedConnectReport last;
     for (int request = 0; request < 3; ++request) {
-      last = connected_batch_retry(socket, t, {}, specs);
+      last = connected_retry(socket, t, {}, yield::synthesis_requests(specs));
       ASSERT_EQ(last.outcomes.size(), specs.size());
       for (std::size_t i = 0; i < specs.size(); ++i) {
         ASSERT_TRUE(last.outcomes[i].ok())
@@ -216,9 +221,9 @@ TEST(ServeConformance, SecondIdenticalBatchIsServedFromTheSharedTier) {
   const std::string socket = test_socket_path();
   DaemonThread daemon(serve_options(2, socket));
 
-  connected_batch_retry(socket, t, {}, specs);
-  const serve::ConnectReport second =
-      connected_batch_retry(socket, t, {}, specs);
+  connected_retry(socket, t, {}, yield::synthesis_requests(specs));
+  const serve::MixedConnectReport second =
+      connected_retry(socket, t, {}, yield::synthesis_requests(specs));
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(second.outcomes[i].ok()) << second.outcomes[i].error;
@@ -239,73 +244,107 @@ TEST(ServeConformance, SecondIdenticalBatchIsServedFromTheSharedTier) {
   EXPECT_EQ(daemon.stop(), 0);
 }
 
-serve::MixedConnectReport connected_mixed_retry(
-    const std::string& socket, const tech::Technology& t,
-    const synth::SynthOptions& opts,
-    const std::vector<yield::Request>& requests) {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return serve::run_connected_mixed(socket, t, opts, requests);
-    } catch (const std::runtime_error& e) {
-      if (attempt >= 1000 ||
-          std::string(e.what()).find("cannot connect") == std::string::npos) {
-        throw;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+// The request list of an oasys_gen_workload manifest: jittered paper
+// specs, each answered as a synthesis or a yield request as the manifest
+// line says.  The generator is deterministic, so every run replays the
+// same traffic.
+std::vector<yield::Request> generated_workload(long count, long seed) {
+  const std::string dir = util::format("/tmp/oasys-serve-test-workload-%d",
+                                       static_cast<int>(::getpid()));
+  const std::string cmd = util::format(
+      "%s --dir %s --count %ld --seed %ld --yield-ratio 0.4 "
+      "--yield-samples 12 > /dev/null",
+      OASYS_GEN_WORKLOAD_PATH, dir.c_str(), count, seed);
+  std::vector<yield::Request> requests;
+  if (std::system(cmd.c_str()) != 0) return requests;
+  std::ifstream manifest(dir + "/workload.tsv");
+  std::string line;
+  while (std::getline(manifest, line)) {
+    std::istringstream fields(line);
+    std::string kind;
+    std::string file;
+    fields >> kind >> file;
+    const core::SpecParseResult r =
+        core::load_opamp_spec_file(dir + "/" + file);
+    if (!r.ok()) continue;
+    yield::Request req;
+    req.spec = r.spec;
+    if (kind == "yield") {
+      int samples = 0;
+      std::uint64_t yield_seed = 0;
+      fields >> samples >> yield_seed;
+      req.is_yield = true;
+      req.params.samples = samples;
+      req.params.seed = yield_seed;
     }
+    requests.push_back(std::move(req));
   }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return requests;
 }
 
 TEST(ServeConformance, MixedYieldTrafficByteIdenticalToLocalService) {
   const tech::Technology t = tech::five_micron();
-  // Synth + yield of each paper case, plus a repeated yield request: the
-  // daemon must answer with exactly a local YieldService's bytes, and the
-  // repeat must come from the shared tier with the yield frame type.
-  std::vector<yield::Request> requests;
+  // Two inputs.  Synth + yield of each paper case: the daemon must answer
+  // with exactly a local YieldService's bytes, and a repeated batch must
+  // come from the shared tier with the yield frame type.  A generated
+  // workload: 24 jittered specs, ~40% of them yield requests.
+  std::vector<yield::Request> paper;
   for (const core::OpAmpSpec& spec : synth::paper_test_cases()) {
     yield::Request synth_req;
     synth_req.spec = spec;
-    requests.push_back(synth_req);
+    paper.push_back(synth_req);
     yield::Request yield_req;
     yield_req.spec = spec;
     yield_req.is_yield = true;
     yield_req.params.samples = 12;
     yield_req.params.seed = 5;
-    requests.push_back(yield_req);
+    paper.push_back(yield_req);
   }
+  std::vector<yield::Request> generated = generated_workload(24, 7);
+  ASSERT_EQ(generated.size(), 24u);
+  std::size_t generated_yield = 0;
+  for (const yield::Request& r : generated) generated_yield += r.is_yield;
+  EXPECT_GT(generated_yield, 0u);
+  EXPECT_LT(generated_yield, generated.size());
 
-  yield::YieldService reference(t, {});
-  const std::vector<yield::Outcome> expected =
-      reference.run_mixed(requests);
+  for (const std::vector<yield::Request>* input : {&paper, &generated}) {
+    SCOPED_TRACE(input == &paper ? "paper cases" : "generated workload");
+    const std::vector<yield::Request>& requests = *input;
+    yield::YieldService reference(t, {});
+    const std::vector<yield::Outcome> expected =
+        reference.run_mixed(requests);
 
-  for (const std::size_t workers : {1u, 2u}) {
-    const std::string socket = test_socket_path();
-    DaemonThread daemon(serve_options(workers, socket));
+    for (const std::size_t workers : {1u, 2u}) {
+      const std::string socket = test_socket_path();
+      DaemonThread daemon(serve_options(workers, socket));
 
-    // Two consecutive mixed batches: the first fills both cache tiers,
-    // the second must replay identical bytes without touching a worker.
-    serve::MixedConnectReport last;
-    for (int request = 0; request < 2; ++request) {
-      last = connected_mixed_retry(socket, t, {}, requests);
-      ASSERT_EQ(last.outcomes.size(), requests.size());
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        const yield::Outcome& o = last.outcomes[i];
-        ASSERT_TRUE(o.ok()) << "workers=" << workers << " request "
-                            << request << " item " << i << ": " << o.error;
-        ASSERT_EQ(o.is_yield, requests[i].is_yield);
-        EXPECT_EQ(yield::outcome_json(o), yield::outcome_json(expected[i]))
-            << "workers=" << workers << " request " << request << " item "
-            << i;
+      // Two consecutive mixed batches: the first fills both cache tiers,
+      // the second must replay identical bytes without touching a worker.
+      serve::MixedConnectReport last;
+      for (int request = 0; request < 2; ++request) {
+        last = connected_retry(socket, t, {}, requests);
+        ASSERT_EQ(last.outcomes.size(), requests.size());
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          const yield::Outcome& o = last.outcomes[i];
+          ASSERT_TRUE(o.ok()) << "workers=" << workers << " request "
+                              << request << " item " << i << ": " << o.error;
+          ASSERT_EQ(o.is_yield, requests[i].is_yield);
+          EXPECT_EQ(yield::outcome_json(o), yield::outcome_json(expected[i]))
+              << "workers=" << workers << " request " << request
+              << " item " << i;
+        }
       }
+      // The repeat was answered entirely from the shared tier.
+      EXPECT_EQ(last.stats.requests, 0u) << "workers=" << workers;
+      const serve::ServeStats st = daemon.server.stats();
+      EXPECT_EQ(st.shared_cache_misses, requests.size())
+          << "workers=" << workers;
+      EXPECT_EQ(st.shared_cache_hits, requests.size())
+          << "workers=" << workers;
+      EXPECT_EQ(daemon.stop(), 0) << "workers=" << workers;
     }
-    // The repeat was answered entirely from the shared tier.
-    EXPECT_EQ(last.stats.requests, 0u) << "workers=" << workers;
-    const serve::ServeStats st = daemon.server.stats();
-    EXPECT_EQ(st.shared_cache_misses, requests.size())
-        << "workers=" << workers;
-    EXPECT_EQ(st.shared_cache_hits, requests.size())
-        << "workers=" << workers;
-    EXPECT_EQ(daemon.stop(), 0) << "workers=" << workers;
   }
 }
 
@@ -341,8 +380,8 @@ TEST(ServeConformance, AdaptiveTranByteIdenticalToLocal) {
   // tier, so a nondeterministic adaptive run would show up as a diff
   // between request 1 (computed) and the local reference.
   for (int request = 0; request < 2; ++request) {
-    const serve::ConnectReport report =
-        connected_batch_retry(socket, t, opts, specs);
+    const serve::MixedConnectReport report =
+        connected_retry(socket, t, opts, yield::synthesis_requests(specs));
     ASSERT_EQ(report.outcomes.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       ASSERT_TRUE(report.outcomes[i].ok())
@@ -366,15 +405,16 @@ TEST(ServeConformance, ConfigFingerprintMismatchIsRefused) {
   synth::SynthOptions drifted;
   drifted.iref = 12.5e-6;  // not what the daemon was started with
   try {
-    serve::run_connected_batch(socket, t, drifted, specs);
+    serve::run_connected_mixed(socket, t, drifted,
+                               yield::synthesis_requests(specs));
     FAIL() << "mismatched options were accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos)
         << e.what();
   }
   // The refusal is per-session; a matching client still works.
-  const serve::ConnectReport ok =
-      connected_batch_retry(socket, t, {}, specs);
+  const serve::MixedConnectReport ok =
+      connected_retry(socket, t, {}, yield::synthesis_requests(specs));
   ASSERT_TRUE(ok.outcomes[0].ok()) << ok.outcomes[0].error;
   EXPECT_EQ(daemon.stop(), 0);
 }
@@ -482,7 +522,8 @@ TEST(ServeDrain, StopMidCycleAnswersInFlightWorkThenExits) {
   EXPECT_EQ(daemon.stop(), 0);
   EXPECT_GE(daemon.server.stats().drain_seconds, 0.0);
   // The socket is unlinked at drain: new clients are turned away.
-  EXPECT_THROW(serve::run_connected_batch(socket, t, {}, specs),
+  EXPECT_THROW(serve::run_connected_mixed(socket, t, {},
+                                          yield::synthesis_requests(specs)),
                std::runtime_error);
 }
 

@@ -25,6 +25,7 @@
 #include "synth/test_cases.h"
 #include "tech/builtin.h"
 #include "util/text.h"
+#include "yield/service.h"
 
 namespace oasys {
 namespace {
@@ -65,12 +66,17 @@ struct DaemonThread {
   }
 };
 
-serve::ConnectReport connected_batch_retry(
+// The daemon binds its socket on the run() thread, so the first client
+// can race it; retry the connection-refused window only.  Every batch
+// here is plain synthesis.
+serve::MixedConnectReport connected_retry(
     const std::string& socket, const tech::Technology& t,
     const std::vector<core::OpAmpSpec>& specs) {
+  const std::vector<yield::Request> requests =
+      yield::synthesis_requests(specs);
   for (int attempt = 0;; ++attempt) {
     try {
-      return serve::run_connected_batch(socket, t, {}, specs);
+      return serve::run_connected_mixed(socket, t, {}, requests);
     } catch (const std::runtime_error& e) {
       if (attempt >= 1000 ||
           std::string(e.what()).find("cannot connect") == std::string::npos) {
@@ -113,8 +119,8 @@ TEST(ServeStress, ConcurrentSessionsStayExact) {
     clients.emplace_back([&, c] {
       try {
         for (int b = 0; b < kBatchesPerThread; ++b) {
-          const serve::ConnectReport report =
-              connected_batch_retry(socket, t, specs);
+          const serve::MixedConnectReport report =
+              connected_retry(socket, t, specs);
           if (report.outcomes.size() != specs.size()) {
             failures[c] = "short outcome vector";
             return;
@@ -165,8 +171,8 @@ TEST(ServeStress, RepeatedWorkerDeathsRespawnDeterministically) {
   // must come back as the same deterministic error, each death must
   // respawn, and the daemon must keep serving through all of it.
   for (int round = 0; round < 3; ++round) {
-    const serve::ConnectReport report =
-        connected_batch_retry(socket, t, {poison});
+    const serve::MixedConnectReport report =
+        connected_retry(socket, t, {poison});
     ASSERT_EQ(report.outcomes.size(), 1u) << "round " << round;
     EXPECT_FALSE(report.outcomes[0].ok()) << "round " << round;
     EXPECT_NE(
@@ -180,8 +186,8 @@ TEST(ServeStress, RepeatedWorkerDeathsRespawnDeterministically) {
   // respawn to land — the error answer above arrives before the backoff
   // timer replaces the dead worker.)
   const core::OpAmpSpec healthy = synth::paper_test_cases()[1];
-  const serve::ConnectReport after =
-      connected_batch_retry(socket, t, {healthy});
+  const serve::MixedConnectReport after =
+      connected_retry(socket, t, {healthy});
   ASSERT_TRUE(after.outcomes[0].ok()) << after.outcomes[0].error;
   EXPECT_EQ(synth::result_json(after.outcomes[0].result),
             synth::result_json(synth::synthesize_opamp(t, healthy, {})));
@@ -212,8 +218,8 @@ TEST(ServeStress, TinySharedCacheChurnsWithoutDrift) {
 
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t v = 0; v < variants.size(); ++v) {
-      const serve::ConnectReport report =
-          connected_batch_retry(socket, t, {variants[v]});
+      const serve::MixedConnectReport report =
+          connected_retry(socket, t, {variants[v]});
       ASSERT_TRUE(report.outcomes[0].ok())
           << "pass " << pass << " variant " << v << ": "
           << report.outcomes[0].error;

@@ -492,8 +492,8 @@ TEST(ShardConformance, BitwiseEquivalentToServiceAtEveryWorkerCount) {
       reference.run_batch(specs);
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    const shard::ShardReport report =
-        shard::run_sharded_batch(t, {}, specs, cli_shard_options(workers));
+    const shard::ShardReport report = shard::run_sharded_requests(
+        t, {}, yield::synthesis_requests(specs), cli_shard_options(workers));
     ASSERT_TRUE(report.infra_ok()) << "workers=" << workers;
     ASSERT_EQ(report.outcomes.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -546,8 +546,8 @@ TEST(ShardConformance, AdaptiveTranBitwiseEquivalentAtEveryWorkerCount) {
   sim::set_tran_tolerance_default(saved_tol.rtol, saved_tol.atol);
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    const shard::ShardReport report =
-        shard::run_sharded_batch(t, opts, specs, cli_shard_options(workers));
+    const shard::ShardReport report = shard::run_sharded_requests(
+        t, opts, yield::synthesis_requests(specs), cli_shard_options(workers));
     ASSERT_TRUE(report.infra_ok()) << "workers=" << workers;
     ASSERT_EQ(report.outcomes.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -595,8 +595,8 @@ TEST(ShardConformance, MergedDeterministicMetricsAreWorkerCountInvariant) {
 
   std::vector<std::vector<std::string>> sections;
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    const shard::ShardReport report =
-        shard::run_sharded_batch(t, {}, specs, cli_shard_options(workers));
+    const shard::ShardReport report = shard::run_sharded_requests(
+        t, {}, yield::synthesis_requests(specs), cli_shard_options(workers));
     ASSERT_TRUE(report.infra_ok());
     sections.push_back(deterministic_lines(report.merged_metrics));
 
@@ -678,8 +678,8 @@ TEST(ShardConformance, MixedYieldBatchBitwiseEquivalentAtEveryWorkerCount) {
 TEST(ShardConformance, MoreWorkersThanSpecsStillConforms) {
   const tech::Technology t = tech::five_micron();
   const std::vector<core::OpAmpSpec> specs = {synth::paper_test_cases()[0]};
-  const shard::ShardReport report =
-      shard::run_sharded_batch(t, {}, specs, cli_shard_options(6));
+  const shard::ShardReport report = shard::run_sharded_requests(
+      t, {}, yield::synthesis_requests(specs), cli_shard_options(6));
   ASSERT_TRUE(report.infra_ok());
   ASSERT_EQ(report.outcomes.size(), 1u);
   EXPECT_TRUE(report.outcomes[0].ok());
@@ -702,8 +702,8 @@ TEST(ShardFaults, WorkerKilledMidBatchFailsItsSpecsOnly) {
   const ScopedEnv crash("OASYS_SHARD_TEST_CRASH", "B");
   const tech::Technology t = tech::five_micron();
   const std::vector<core::OpAmpSpec> specs = synth::paper_test_cases();
-  const shard::ShardReport report =
-      shard::run_sharded_batch(t, {}, specs, cli_shard_options(2));
+  const shard::ShardReport report = shard::run_sharded_requests(
+      t, {}, yield::synthesis_requests(specs), cli_shard_options(2));
 
   EXPECT_FALSE(report.infra_ok());
   ASSERT_EQ(report.outcomes.size(), specs.size());
@@ -745,8 +745,8 @@ TEST(ShardFaults, WorkerKilledOnReceiveFailsItsWholeShard) {
   const ScopedEnv crash("OASYS_SHARD_TEST_CRASH", "A:recv");
   const tech::Technology t = tech::five_micron();
   const std::vector<core::OpAmpSpec> specs = synth::paper_test_cases();
-  const shard::ShardReport report =
-      shard::run_sharded_batch(t, {}, specs, cli_shard_options(2));
+  const shard::ShardReport report = shard::run_sharded_requests(
+      t, {}, yield::synthesis_requests(specs), cli_shard_options(2));
 
   EXPECT_FALSE(report.infra_ok());
   std::size_t victim_shard = 2;
@@ -770,7 +770,7 @@ TEST(ShardFaults, WorkerKilledOnReceiveFailsItsWholeShard) {
 void noop_sigpipe_handler(int) {}
 
 TEST(ShardFaults, CallerSigpipeHandlerSurvivesTheBatch) {
-  // run_sharded_batch ignores SIGPIPE for the duration of the run so a
+  // run_sharded_requests ignores SIGPIPE for the duration of the run so a
   // dying worker surfaces as EPIPE, but an embedding application's own
   // handler must be back in place when it returns.
   using Handler = void (*)(int);
@@ -778,8 +778,8 @@ TEST(ShardFaults, CallerSigpipeHandlerSurvivesTheBatch) {
   ASSERT_NE(prev, SIG_ERR);
   const tech::Technology t = tech::five_micron();
   const std::vector<core::OpAmpSpec> specs = {synth::paper_test_cases()[0]};
-  const shard::ShardReport report =
-      shard::run_sharded_batch(t, {}, specs, cli_shard_options(1));
+  const shard::ShardReport report = shard::run_sharded_requests(
+      t, {}, yield::synthesis_requests(specs), cli_shard_options(1));
   EXPECT_TRUE(report.infra_ok());
   const Handler after = std::signal(SIGPIPE, prev);
   EXPECT_EQ(after, &noop_sigpipe_handler);
@@ -795,8 +795,8 @@ TEST(ShardFaults, WedgedWorkerIsKilledAtTheDeadline) {
   const std::vector<core::OpAmpSpec> specs = synth::paper_test_cases();
   shard::ShardOptions o = cli_shard_options(2);
   o.worker_timeout_s = 1.0;
-  const shard::ShardReport report =
-      shard::run_sharded_batch(t, {}, specs, o);
+  const shard::ShardReport report = shard::run_sharded_requests(
+      t, {}, yield::synthesis_requests(specs), o);
 
   EXPECT_FALSE(report.infra_ok());
   std::size_t victim_shard = 2;
@@ -837,8 +837,8 @@ TEST(ShardFaults, GarbageSpeakingWorkerIsRejectedNotCrashedOn) {
   const std::vector<core::OpAmpSpec> specs = synth::paper_test_cases();
   shard::ShardOptions o = cli_shard_options(1);
   o.worker_command = "/bin/echo";
-  const shard::ShardReport report =
-      shard::run_sharded_batch(t, {}, specs, o);
+  const shard::ShardReport report = shard::run_sharded_requests(
+      t, {}, yield::synthesis_requests(specs), o);
   EXPECT_FALSE(report.infra_ok());
   for (const shard::ShardOutcome& out : report.outcomes) {
     EXPECT_FALSE(out.ok());
@@ -853,8 +853,8 @@ TEST(ShardFaults, NonexecutableWorkerCommandFailsCleanly) {
   const std::vector<core::OpAmpSpec> specs = {synth::paper_test_cases()[0]};
   shard::ShardOptions o = cli_shard_options(2);
   o.worker_command = "/nonexistent/oasys-worker";
-  const shard::ShardReport report =
-      shard::run_sharded_batch(t, {}, specs, o);
+  const shard::ShardReport report = shard::run_sharded_requests(
+      t, {}, yield::synthesis_requests(specs), o);
   EXPECT_FALSE(report.infra_ok());
   EXPECT_FALSE(report.outcomes[0].ok());
   for (const shard::WorkerSummary& w : report.workers) {
@@ -868,11 +868,11 @@ TEST(ShardFaults, NonexecutableWorkerCommandFailsCleanly) {
 TEST(ShardFaults, InvalidOptionsThrow) {
   const tech::Technology t = tech::five_micron();
   shard::ShardOptions zero = cli_shard_options(0);
-  EXPECT_THROW(shard::run_sharded_batch(t, {}, {}, zero),
+  EXPECT_THROW(shard::run_sharded_requests(t, {}, {}, zero),
                std::invalid_argument);
   shard::ShardOptions no_cmd = cli_shard_options(1);
   no_cmd.worker_command.clear();
-  EXPECT_THROW(shard::run_sharded_batch(t, {}, {}, no_cmd),
+  EXPECT_THROW(shard::run_sharded_requests(t, {}, {}, no_cmd),
                std::invalid_argument);
 }
 
@@ -883,7 +883,7 @@ TEST(ShardConformance, EmptyBatchReturnsPromptlyAndReapsEveryWorker) {
   for (const std::size_t workers : {1u, 3u}) {
     const auto start = std::chrono::steady_clock::now();
     const shard::ShardReport report =
-        shard::run_sharded_batch(t, {}, {}, cli_shard_options(workers));
+        shard::run_sharded_requests(t, {}, {}, cli_shard_options(workers));
     const double elapsed_s = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - start)
                                  .count();

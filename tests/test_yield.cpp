@@ -366,6 +366,18 @@ TEST(YieldService, MixedBatchMatchesDirectCallsInSubmissionOrder) {
   }
 }
 
+TEST(YieldService, ComputedSynthesisOutcomeReportsItsServiceTime) {
+  // `oasys batch --sort latency` orders rows by Outcome::seconds, so a
+  // synthesis the service computed must carry its nonzero wall time.
+  yield::YieldService svc(tech5());
+  const std::vector<yield::Outcome> outcomes = svc.run_mixed(
+      yield::synthesis_requests({synth::paper_test_cases()[0]}));
+  ASSERT_EQ(outcomes.size(), 1u);
+  ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].error;
+  EXPECT_FALSE(outcomes[0].is_yield);
+  EXPECT_GT(outcomes[0].seconds, 0.0);
+}
+
 TEST(YieldService, RepeatedYieldRequestIsACacheHitWithIdenticalBytes) {
   yield::Request request;
   request.spec = synth::paper_test_cases()[0];

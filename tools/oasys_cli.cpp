@@ -365,68 +365,13 @@ bool load_specs(const std::vector<std::string>& operands,
   return true;
 }
 
-// One synthesis row in the batch/shard summary table.  Shared by the
-// plain and mixed printers so identical outcomes print identical bytes
-// (the conformance tests byte-compare batch against shard/--connect).
-void add_synth_row(oasys::util::Table& table, const std::string& spec_path,
-                   const oasys::synth::SynthesisResult& r, int* failures) {
-  using namespace oasys;
-  if (r.success()) {
-    const synth::OpAmpDesign& best = *r.best();
-    table.add_row({spec_path, r.spec.name, best.style_name(),
-                   best.soft_violations > 0 ? "first-cut" : "ok",
-                   util::format("%.0f", util::in_um2(best.predicted.area)),
-                   ""});
-  } else {
-    ++*failures;
-    table.add_row({spec_path, r.spec.name, "-", "FAIL", "-",
-                   synth::failure_brief(r)});
-  }
-}
-
-void print_summary_footer(int failures, int errors, std::size_t n) {
-  if (failures > 0) {
-    std::printf("%d of %zu specs selected no feasible style.\n", failures,
-                n);
-  }
-  if (errors > 0) {
-    std::printf("%d of %zu specs failed with errors.\n", errors, n);
-  }
-}
-
-// Renders the per-spec summary table shared by batch and shard mode —
-// identical outcomes must print identical bytes, since the shard
-// conformance tests byte-compare the two.  An outcome is any type with
-// `result`, `error`, and ok() (service::BatchOutcome, shard::ShardOutcome).
-// `failures` counts specs that selected no feasible style; `errors` counts
-// specs whose synthesis (or worker) failed outright.
-template <typename Outcome>
-void print_summary(const std::vector<std::string>& spec_paths,
-                   const std::vector<oasys::core::OpAmpSpec>& specs,
-                   const std::vector<Outcome>& outcomes, int* failures,
-                   int* errors) {
-  using namespace oasys;
-  util::Table table({"spec", "name", "style", "result", "area um^2",
-                     "detail"});
-  table.set_align(4, util::Align::kRight);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const Outcome& o = outcomes[i];
-    if (!o.ok()) {
-      ++*errors;
-      table.add_row({spec_paths[i], specs[i].name, "-", "ERROR", "-",
-                     o.error});
-      continue;
-    }
-    add_synth_row(table, spec_paths[i], o.result, failures);
-  }
-  std::fputs(table.to_string().c_str(), stdout);
-  print_summary_footer(*failures, *errors, outcomes.size());
-}
-
-// print_summary for mixed synthesis/yield outcomes (yield::Outcome,
-// shard::ShardOutcome): yield rows carry the pass yield in the detail
-// column.  Byte-identity between batch, shard, and --connect holds here
-// too — all three print through this one function.
+// Renders the per-spec summary table of batch, --connect, and shard mode
+// (outcomes are yield::Outcome or shard::ShardOutcome); yield rows carry
+// the pass yield in the detail column.  All three modes print through
+// this one function, so identical outcomes print identical bytes — the
+// conformance tests byte-compare them.
+// `failures` counts specs that selected no feasible style; `errors`
+// counts requests whose computation (or worker) failed outright.
 template <typename Outcome>
 void print_mixed_summary(const std::vector<std::string>& spec_paths,
                          const std::vector<oasys::core::OpAmpSpec>& specs,
@@ -445,7 +390,18 @@ void print_mixed_summary(const std::vector<std::string>& spec_paths,
       continue;
     }
     if (!o.is_yield) {
-      add_synth_row(table, spec_paths[i], o.result, failures);
+      const synth::SynthesisResult& r = o.result;
+      if (r.success()) {
+        const synth::OpAmpDesign& best = *r.best();
+        table.add_row({spec_paths[i], r.spec.name, best.style_name(),
+                       best.soft_violations > 0 ? "first-cut" : "ok",
+                       util::format("%.0f", util::in_um2(best.predicted.area)),
+                       ""});
+      } else {
+        ++*failures;
+        table.add_row({spec_paths[i], r.spec.name, "-", "FAIL", "-",
+                       synth::failure_brief(r)});
+      }
       continue;
     }
     const yield::YieldResult& y = o.yield;
@@ -465,18 +421,23 @@ void print_mixed_summary(const std::vector<std::string>& spec_paths,
                       y.samples_requested)});
   }
   std::fputs(table.to_string().c_str(), stdout);
-  print_summary_footer(*failures, *errors, outcomes.size());
+  if (*failures > 0) {
+    std::printf("%d of %zu specs selected no feasible style.\n", *failures,
+                outcomes.size());
+  }
+  if (*errors > 0) {
+    std::printf("%d of %zu specs failed with errors.\n", *errors,
+                outcomes.size());
+  }
 }
 
 // Reorders the summary rows for --sort.  Sorting is presentation only —
 // outcomes are computed in submission order and stay bit-identical; a
-// stable sort keeps submission order among ties.  'latency' is only
-// instantiated for outcome types that carry a service time.
-template <typename Outcome>
+// stable sort keeps submission order among ties.
 void sort_rows(const std::string& order,
                std::vector<std::string>* spec_paths,
                std::vector<oasys::core::OpAmpSpec>* specs,
-               std::vector<Outcome>* outcomes) {
+               std::vector<oasys::yield::Outcome>* outcomes) {
   if (order.empty()) return;
   std::vector<std::size_t> idx(outcomes->size());
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
@@ -486,18 +447,16 @@ void sort_rows(const std::string& order,
                        return (*specs)[a].name < (*specs)[b].name;
                      });
   } else if (order == "latency") {
-    if constexpr (requires(const Outcome& o) { o.seconds; }) {
-      // Slowest first: the rows worth looking at float to the top.
-      std::stable_sort(idx.begin(), idx.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return (*outcomes)[a].seconds >
-                                (*outcomes)[b].seconds;
-                       });
-    }
+    // Slowest first: the rows worth looking at float to the top.
+    std::stable_sort(idx.begin(), idx.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return (*outcomes)[a].seconds >
+                              (*outcomes)[b].seconds;
+                     });
   }
   std::vector<std::string> paths2(idx.size());
   std::vector<oasys::core::OpAmpSpec> specs2(idx.size());
-  std::vector<Outcome> outcomes2(idx.size());
+  std::vector<oasys::yield::Outcome> outcomes2(idx.size());
   for (std::size_t i = 0; i < idx.size(); ++i) {
     paths2[i] = std::move((*spec_paths)[idx[i]]);
     specs2[i] = std::move((*specs)[idx[i]]);
@@ -648,33 +607,30 @@ int parse_batch_args(int argc, char** argv, bool shard_mode,
   return 0;
 }
 
-// Builds the mixed request list for --yield-samples: every spec becomes
-// one yield request with the batch's (samples, seed).
-std::vector<oasys::yield::Request> yield_requests(
-    const std::vector<oasys::core::OpAmpSpec>& specs,
-    const BatchArgs& args) {
-  std::vector<oasys::yield::Request> requests(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    requests[i].spec = specs[i];
-    requests[i].is_yield = true;
-    requests[i].params.samples = static_cast<int>(args.yield_samples);
-    requests[i].params.seed =
-        static_cast<std::uint64_t>(args.yield_seed);
+// The batch as a request list, the one input of every serving path:
+// each spec becomes a synthesis request, or with --yield-samples a yield
+// request with the batch's (samples, seed).  A nonzero trace_id tags
+// every request with it and a span id derived from the submission index —
+// the derivation the shard coordinator uses, so local, --connect, and
+// shard runs correlate the same way; 0 changes no byte anywhere.
+std::vector<oasys::yield::Request> batch_requests(
+    const std::vector<oasys::core::OpAmpSpec>& specs, const BatchArgs& args,
+    std::uint64_t trace_id) {
+  std::vector<oasys::yield::Request> requests =
+      oasys::yield::synthesis_requests(specs);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    oasys::yield::Request& r = requests[i];
+    if (args.yield_samples > 0) {
+      r.is_yield = true;
+      r.params.samples = static_cast<int>(args.yield_samples);
+      r.params.seed = static_cast<std::uint64_t>(args.yield_seed);
+    }
+    if (trace_id != 0) {
+      r.trace_id = trace_id;
+      r.span_id = oasys::obs::span_id_for(trace_id, i);
+    }
   }
   return requests;
-}
-
-// Tags every request with the run's trace id and a per-request span id
-// derived from the submission index — the same derivation the shard
-// coordinator uses, so local, --connect, and shard runs correlate the
-// same way.  No-op (and no byte changes anywhere) when tracing is off.
-void apply_trace_ids(std::uint64_t trace_id,
-                     std::vector<oasys::yield::Request>* requests) {
-  if (trace_id == 0) return;
-  for (std::size_t i = 0; i < requests->size(); ++i) {
-    (*requests)[i].trace_id = trace_id;
-    (*requests)[i].span_id = oasys::obs::span_id_for(trace_id, i);
-  }
 }
 
 // Renders the merged cross-process timeline after a traced run: this
@@ -733,10 +689,10 @@ bool export_batch_trace(const BatchArgs& args, std::uint64_t trace_id,
   return true;
 }
 
-// `oasys batch`: every spec file through the synthesis service, then a
-// summary table plus (unless --no-stats) the service's cache/latency
-// statistics.  Returns 1 when any spec fails to parse, errors out, or
-// selects no feasible style.
+// `oasys batch`: every spec file as one request list, answered by a local
+// YieldService or (--connect) a daemon, then a summary table plus (unless
+// --no-stats) the cache/latency statistics.  Returns 1 when any spec
+// fails to parse, errors out, or selects no feasible style.
 int run_batch_mode(int argc, char** argv) {
   using namespace oasys;
 
@@ -771,39 +727,25 @@ int run_batch_mode(int argc, char** argv) {
     trace_id = obs::mint_trace_id();
   }
 
-  // --connect: same specs, same outcomes, same summary bytes — the work
-  // just runs in the daemon's resident worker pool instead of here.
+  const std::vector<yield::Request> requests =
+      batch_requests(specs, args, trace_id);
+  int failures = 0;
+  int errors = 0;
+
+  // --connect: same requests, same outcomes, same summary bytes — the
+  // work just runs in the daemon's resident worker pool instead of here.
   if (!args.connect_path.empty()) {
-    serve::ConnectReport report;
-    serve::MixedConnectReport mixed;
-    int failures = 0;
-    int errors = 0;
+    serve::MixedConnectReport report;
     try {
-      if (args.yield_samples > 0) {
-        std::vector<yield::Request> requests = yield_requests(specs, args);
-        apply_trace_ids(trace_id, &requests);
-        mixed = serve::run_connected_mixed(args.connect_path, t, opts,
-                                           requests);
-      } else {
-        report = serve::run_connected_batch(args.connect_path, t, opts,
-                                            specs, trace_id);
-      }
+      report =
+          serve::run_connected_mixed(args.connect_path, t, opts, requests);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
-    if (args.yield_samples > 0) {
-      report.metrics = std::move(mixed.metrics);
-      report.stats = mixed.stats;
-      report.worker_spans = std::move(mixed.worker_spans);
-      sort_rows(args.sort, &spec_paths, &specs, &mixed.outcomes);
-      print_mixed_summary(spec_paths, specs, mixed.outcomes, &failures,
-                          &errors);
-    } else {
-      sort_rows(args.sort, &spec_paths, &specs, &report.outcomes);
-      print_summary(spec_paths, specs, report.outcomes, &failures,
-                    &errors);
-    }
+    sort_rows(args.sort, &spec_paths, &specs, &report.outcomes);
+    print_mixed_summary(spec_paths, specs, report.outcomes, &failures,
+                        &errors);
     if (args.show_stats) {
       const service::ServiceStats& st = report.stats;
       std::printf(
@@ -826,31 +768,15 @@ int run_batch_mode(int argc, char** argv) {
     return (failures > 0 || errors > 0 || parse_failed) ? 1 : 0;
   }
 
-  // Local run: plain synthesis through the SynthesisService, or (with
-  // --yield-samples) the mixed path through the YieldService that the
-  // shard workers also use — so the summary bytes match `oasys shard`.
-  int failures = 0;
-  int errors = 0;
-  service::ServiceStats stats;
-  if (args.yield_samples > 0) {
-    yield::YieldService svc(t, opts, args.sopts);
-    std::vector<yield::Request> requests = yield_requests(specs, args);
-    apply_trace_ids(trace_id, &requests);
-    std::vector<yield::Outcome> outcomes = svc.run_mixed(requests);
-    stats = svc.stats();
-    sort_rows(args.sort, &spec_paths, &specs, &outcomes);
-    print_mixed_summary(spec_paths, specs, outcomes, &failures, &errors);
-  } else {
-    service::SynthesisService svc(t, opts, args.sopts);
-    std::vector<service::BatchOutcome> outcomes =
-        svc.run_batch_outcomes(specs);
-    stats = svc.stats();
-    sort_rows(args.sort, &spec_paths, &specs, &outcomes);
-    print_summary(spec_paths, specs, outcomes, &failures, &errors);
-  }
+  // Local run: the YieldService the shard workers also run, so the
+  // summary bytes match `oasys shard` and `--connect`.
+  yield::YieldService svc(t, opts, args.sopts);
+  std::vector<yield::Outcome> outcomes = svc.run_mixed(requests);
+  sort_rows(args.sort, &spec_paths, &specs, &outcomes);
+  print_mixed_summary(spec_paths, specs, outcomes, &failures, &errors);
 
   if (args.show_stats) {
-    const service::ServiceStats st = stats;
+    const service::ServiceStats st = svc.stats();
     const double hit_ratio =
         st.requests == 0
             ? 0.0
@@ -949,21 +875,14 @@ int run_shard_mode(int argc, char** argv, const char* argv0) {
     shopts.trace_id = obs::mint_trace_id();
   }
 
-  const shard::ShardReport report =
-      args.yield_samples > 0
-          ? shard::run_sharded_requests(t, opts,
-                                        yield_requests(specs, args),
-                                        shopts)
-          : shard::run_sharded_batch(t, opts, specs, shopts);
+  // Built untraced: the coordinator stamps shopts.trace_id on each one.
+  const shard::ShardReport report = shard::run_sharded_requests(
+      t, opts, batch_requests(specs, args, /*trace_id=*/0), shopts);
 
   int failures = 0;
   int errors = 0;
-  if (args.yield_samples > 0) {
-    print_mixed_summary(spec_paths, specs, report.outcomes, &failures,
-                        &errors);
-  } else {
-    print_summary(spec_paths, specs, report.outcomes, &failures, &errors);
-  }
+  print_mixed_summary(spec_paths, specs, report.outcomes, &failures,
+                      &errors);
 
   if (args.show_stats) {
     std::printf("\nshard: %zu workers\n", report.workers.size());
