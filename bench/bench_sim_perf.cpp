@@ -31,6 +31,7 @@
 #include "synth/netlist_builder.h"
 #include "synth/oasys.h"
 #include "synth/test_cases.h"
+#include "synth/testbench.h"
 #include "tech/builtin.h"
 #include "util/units.h"
 #include "yield/yield.h"
@@ -104,6 +105,7 @@ void BM_Transient200Steps(benchmark::State& state) {
   sim::TranOptions to;
   to.tstop = 2e-6;
   to.dt = 1e-8;
+  to.mode = sim::TranMode::kFixed;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::transient(f.circuit, f.t, f.op, to));
   }
@@ -319,6 +321,7 @@ int emit_json(const char* path) {
   sim::TranOptions to;
   to.tstop = 2e-6;
   to.dt = 1e-8;
+  to.mode = sim::TranMode::kFixed;
   const sim::TranResult tr1 = sim::transient(f.circuit, f.t, f.op, to);
   const sim::TranResult tr2 = sim::transient(f.circuit, f.t, f.op, to);
   const bool tran_equal = tr1.ok && tr2.ok && tr1.states == tr2.states;
@@ -328,12 +331,12 @@ int emit_json(const char* path) {
     benchmark::DoNotOptimize(r);
   });
 
-  // ---- Adaptive transient: fixed reference vs embedded-error stepping -----
+  // ---- Adaptive transient: fixed reference vs adaptive stepping ----------
   // Stiff comparator-style slew fixture: a long flat region (the
-  // controller grows to dt_max) ending in a near-instant edge (forced
-  // step rejections), then a settling tail.  Fixed stepping pays the
-  // whole window at the resolution the edge needs; adaptive pays it only
-  // around the edge.
+  // controller grows to dt_max) ending in a near-instant edge (a source
+  // breakpoint the steps land on), then a settling tail.  Fixed stepping
+  // pays the whole window at the resolution the edge needs; adaptive pays
+  // it only around the edge.
   ckt::Circuit stiff;
   const double stiff_tau = 1e-6;
   {
@@ -353,6 +356,7 @@ int emit_json(const char* path) {
   sim::TranOptions at_fixed;
   at_fixed.tstop = 100.0 * stiff_tau;
   at_fixed.dt = stiff_tau / 10.0;  // 1000 fixed steps
+  at_fixed.mode = sim::TranMode::kFixed;
   sim::TranOptions at_adapt = at_fixed;
   at_adapt.mode = sim::TranMode::kAdaptive;
 
@@ -421,6 +425,38 @@ int emit_json(const char* path) {
       static_cast<double>(at_f1.time.size() - 1) /
       static_cast<double>(at_a1.time.size() - 1);
 
+  // The verification slew fixture of paper case A (the follower step that
+  // measure_opamp runs): the stiff fixture's edge lands on its corners and
+  // never rejects, so this is the run that exercises the reject path.
+  // Its slew is judged against a dt/64 fixed-step run.
+  const synth::SynthesisResult case_a =
+      synth::synthesize_opamp(f.t, synth::spec_case_a());
+  const synth::MeasuredOpAmp case_a_m =
+      synth::measure_opamp(*case_a.best(), f.t);
+  const synth::SlewBench follower =
+      synth::slew_bench(*case_a.best(), f.t, case_a_m.perf.gbw);
+  sim::TranOptions fo_adapt = follower.tran;
+  fo_adapt.mode = sim::TranMode::kAdaptive;
+  sim::TranOptions fo_fixed = follower.tran;
+  fo_fixed.mode = sim::TranMode::kFixed;
+  sim::TranOptions fo_ref = fo_fixed;
+  fo_ref.dt /= 64.0;
+  const obs::MetricsSnapshot fo_before = obs::Registry::global().snapshot();
+  const double fo_slew =
+      synth::follower_slew(follower, f.t, fo_adapt).value_or(0.0);
+  const obs::MetricsSnapshot fo_after = obs::Registry::global().snapshot();
+  const std::uint64_t fo_steps =
+      counter_value(fo_after, "tran.adaptive.steps") -
+      counter_value(fo_before, "tran.adaptive.steps");
+  const std::uint64_t fo_rejects =
+      counter_value(fo_after, "tran.adaptive.rejects") -
+      counter_value(fo_before, "tran.adaptive.rejects");
+  const double fo_fixed_slew =
+      synth::follower_slew(follower, f.t, fo_fixed).value_or(0.0);
+  const double fo_ref_slew =
+      synth::follower_slew(follower, f.t, fo_ref).value_or(0.0);
+  deterministic &= fo_slew > 0.0 && fo_ref_slew > 0.0;
+
   // Metrics block: registry contents of one canonical run of each engine
   // (one DC operating point, one AC sweep, one transient) after a reset,
   // so the record carries solver-effort counts alongside the timings.
@@ -483,9 +519,19 @@ int emit_json(const char* path) {
                m_adapt[0], adaptive_repeat_equal ? "true" : "false");
   std::fprintf(out,
                "  \"step_reduction\": %.3f, \"speedup\": %.3f, "
-               "\"max_metric_deviation_rel\": %.6e},\n",
+               "\"max_metric_deviation_rel\": %.6e,\n",
                step_reduction, at_fixed_s / at_adapt_s,
                max_metric_deviation_rel);
+  std::fprintf(out,
+               "  \"follower\": {\"spec\": \"A\", \"tstop\": %.6e, "
+               "\"dt\": %.6e, \"steps\": %llu, \"rejects\": %llu, "
+               "\"slew\": %.9e, \"fixed_slew\": %.9e, "
+               "\"reference_slew\": %.9e, \"deviation_rel\": %.6e}},\n",
+               follower.tran.tstop, follower.tran.dt,
+               static_cast<unsigned long long>(fo_steps),
+               static_cast<unsigned long long>(fo_rejects), fo_slew,
+               fo_fixed_slew, fo_ref_slew,
+               std::abs(fo_slew - fo_ref_slew) / fo_ref_slew);
   std::fprintf(out,
                " \"determinism\": {\"dc_bitwise_equal\": %s, "
                "\"ac_bitwise_equal\": %s, \"ac_jobs_invariant\": %s, "

@@ -1,5 +1,6 @@
 #include "netlist/waveform.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -77,6 +78,30 @@ double Waveform::value(double t) const {
     }
   }
   return dc_;
+}
+
+std::vector<double> Waveform::breakpoints(double tstop) const {
+  std::vector<double> out;
+  if (shape_ != Shape::kPulse) return out;
+  // Corner offsets within one period; a period shorter than the pulse cuts
+  // it at the next rise start, which is itself a corner.
+  std::vector<double> offsets;
+  for (const double o : {0.0, rise_, rise_ + width_, rise_ + width_ + fall_}) {
+    if (period_ <= 0.0 || o < period_) offsets.push_back(o);
+  }
+  for (std::size_t k = 0;; ++k) {
+    // delay + k*period rather than a running sum: no accumulated rounding.
+    const double start = delay_ + static_cast<double>(k) * period_;
+    if (start > tstop) break;
+    for (const double o : offsets) {
+      const double t = start + o;
+      if (t >= 0.0 && t <= tstop) out.push_back(t);
+    }
+    if (period_ <= 0.0) break;
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 Waveform Waveform::with_dc(double value) const {

@@ -5,6 +5,8 @@
 // optional time shape (used by the transient analysis).
 #pragma once
 
+#include <vector>
+
 namespace oasys::ckt {
 
 class Waveform {
@@ -30,6 +32,12 @@ class Waveform {
 
   // Instantaneous value at time t (transient analysis).
   double value(double t) const;
+
+  // The instants in [0, tstop] where the waveform has a corner, ascending
+  // and without repeats: a pulse's rise start, rise end, fall start and
+  // fall end, once per period.  Smooth shapes (DC, sine) have none.  The
+  // adaptive transient lands a step on each.
+  std::vector<double> breakpoints(double tstop) const;
 
   // Returns a copy with the DC level replaced (used by DC sweeps).
   Waveform with_dc(double value) const;

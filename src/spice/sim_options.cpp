@@ -7,7 +7,7 @@ namespace oasys::sim {
 
 namespace {
 
-constexpr TranMode kBuiltInTranMode = TranMode::kFixed;
+constexpr TranMode kBuiltInTranMode = TranMode::kAdaptive;
 
 TranMode initial_tran_mode() {
   const char* env = std::getenv("OASYS_TRAN_MODE");

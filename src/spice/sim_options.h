@@ -14,20 +14,20 @@ namespace oasys::sim {
 //
 // Resolution order for a transient call:
 //   1. an explicit kFixed/kAdaptive in the per-call options wins;
-//   2. kDefault falls back to the process-wide default, which is kFixed
-//      (the permanent reference) unless overridden by
-//      set_tran_mode_default() or, at first use, by the environment
-//      variable OASYS_TRAN_MODE=fixed|adaptive.
+//   2. kDefault falls back to the process-wide default, which is
+//      kAdaptive unless overridden by set_tran_mode_default() or, at
+//      first use, by the environment variable
+//      OASYS_TRAN_MODE=fixed|adaptive.
 enum class TranMode {
   kDefault = 0,  // resolve via the process-wide default
-  kFixed,        // fixed-step trap/BE (the permanent reference)
-  kAdaptive,     // trap + embedded-BE error estimate, PI step controller
+  kFixed,        // fixed-step trap/BE (the permanent bitwise reference)
+  kAdaptive,     // trap, truncation-error step control, lands on corners
 };
 
 TranMode tran_mode_default();
 
 // Overrides the process-wide default; kDefault restores the built-in
-// default (kFixed).  Intended for CLI flags, worker config, and tests.
+// default (kAdaptive).  Intended for CLI flags, worker config, and tests.
 void set_tran_mode_default(TranMode mode);
 
 // Collapses kDefault to the process-wide default; identity otherwise.

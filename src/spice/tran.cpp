@@ -166,6 +166,73 @@ struct StepContext {
   }
 };
 
+// Every source corner in [0, tstop], ascending and without repeats.
+std::vector<double> source_breakpoints(const ckt::Circuit& c, double tstop) {
+  std::vector<double> out;
+  const auto add = [&](const ckt::Waveform& w) {
+    const std::vector<double> b = w.breakpoints(tstop);
+    out.insert(out.end(), b.begin(), b.end());
+  };
+  for (const auto& v : c.vsources()) add(v.wave);
+  for (const auto& i : c.isources()) add(i.wave);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+// Newton's starting guess at `t`: the polynomial through the last
+// `order + 1` samples (0 holds the last sample, 2 is a quadratic).
+void predict(const std::vector<double>& time,
+             const std::vector<std::vector<double>>& states,
+             std::size_t order, double t, std::vector<double>* x) {
+  const std::size_t k = time.size() - 1;
+  *x = states[k];
+  if (order == 0) return;
+  double weight[3];
+  for (std::size_t j = 0; j <= order; ++j) {
+    weight[j] = 1.0;
+    for (std::size_t m = 0; m <= order; ++m) {
+      if (m != j) {
+        weight[j] *= (t - time[k - m]) / (time[k - j] - time[k - m]);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < x->size(); ++i) {
+    double v = 0.0;
+    for (std::size_t j = 0; j <= order; ++j) v += weight[j] * states[k - j][i];
+    (*x)[i] = v;
+  }
+}
+
+// Weighted max norm, over the node voltages, of the trapezoidal local
+// truncation error h^3/12 * |x'''| of the step to (t3, x3).  x''' is six
+// times the third divided difference of the last three samples and the
+// candidate.
+double lte_norm(const std::vector<double>& time,
+                const std::vector<std::vector<double>>& states, double t3,
+                const std::vector<double>& x3, std::size_t nv, double rtol,
+                double atol) {
+  const std::size_t k = time.size() - 1;
+  const double t0 = time[k - 2], t1 = time[k - 1], t2 = time[k];
+  const std::vector<double>& x0 = states[k - 2];
+  const std::vector<double>& x1 = states[k - 1];
+  const std::vector<double>& x2 = states[k];
+  const double h = t3 - t2;
+  const double scale = 0.5 * h * h * h;  // h^3/12 * 3!
+  double norm = 0.0;
+  for (std::size_t i = 0; i < nv; ++i) {
+    const double d01 = (x1[i] - x0[i]) / (t1 - t0);
+    const double d12 = (x2[i] - x1[i]) / (t2 - t1);
+    const double d23 = (x3[i] - x2[i]) / (t3 - t2);
+    const double d012 = (d12 - d01) / (t2 - t0);
+    const double d123 = (d23 - d12) / (t3 - t1);
+    const double d0123 = (d123 - d012) / (t3 - t0);
+    const double lte = scale * std::abs(d0123);
+    norm = std::max(norm, lte / (atol + rtol * std::abs(x3[i])));
+  }
+  return norm;
+}
+
 }  // namespace
 
 TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
@@ -210,15 +277,18 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
   NonlinearSystem::EvalOptions refresh_opts;
   refresh_opts.gmin = opts.gmin;
 
-  // Accepts a step ending at `time` with solution `x_new`: trapezoidal
-  // history update, device-capacitance refresh at the new bias, and the
-  // new sample.
+  // Accepts a step ending at `time` with solution `x_new`: the derivative
+  // the step's integration rule implies (the next trapezoidal step's
+  // history), device-capacitance refresh at the new bias, and the new
+  // sample.
   const auto accept = [&](double time, double h,
-                          const std::vector<double>& x_new) {
+                          const std::vector<double>& x_new,
+                          bool trapezoidal) {
     const std::vector<double>& x_prev = result.states.back();
     const double a = 2.0 / h;
     for (std::size_t i = 0; i < n; ++i) {
-      dvdt_prev[i] = a * (x_new[i] - x_prev[i]) - dvdt_prev[i];
+      dvdt_prev[i] = trapezoidal ? a * (x_new[i] - x_prev[i]) - dvdt_prev[i]
+                                 : (x_new[i] - x_prev[i]) / h;
     }
     refresh_opts.time = time;
     sys.eval(x_new, refresh_opts, nullptr, nullptr, &device_ops, &ws.devices);
@@ -252,90 +322,79 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
         result.error = "transient Newton failed at t=" + std::to_string(time);
         return result;
       }
-      if (opts.trapezoidal) {
-        accept(time, h, x);
-      } else {
-        refresh_opts.time = time;
-        sys.eval(x, refresh_opts, nullptr, nullptr, &device_ops, &ws.devices);
-        build_cap_matrix(sys, device_ops, &cmat);
-        result.time.push_back(time);
-        result.states.push_back(x);
-        metrics.steps.add();
-      }
+      accept(time, h, x, opts.trapezoidal);
     }
     result.ok = true;
     return result;
   }
 
-  // ---- Adaptive: trapezoidal with an embedded backward-Euler estimate ----
+  // ---- Adaptive: one trapezoidal solve per step, error from history ----
   //
-  // Every candidate step is solved twice from the same starting point:
-  // trapezoidal (second order, the propagating solution) and backward
-  // Euler (first order).  Their difference is a per-variable local-error
-  // estimate; the weighted max norm over the node voltages decides
-  // accept/reject and feeds a PI controller for the next step size.  The
-  // loop is serial with deterministic branching, so repeated runs are
-  // bit-identical regardless of thread counts anywhere else in the stack.
+  // The trapezoidal local truncation error is h^3/12 * |x'''|; x''' comes
+  // from the third divided difference of the candidate and the last three
+  // accepted samples, and the weighted max norm over the node voltages
+  // decides accept/reject and sizes the next step.  Newton starts from a
+  // quadratic through the last three samples.  Steps land on every source
+  // corner, where x''' is meaningless: the history restarts there, as it
+  // starts at t = 0, with two backward-Euler steps of dt/16 (which also
+  // damp the trapezoidal ringing a corner excites).  The loop is serial
+  // with deterministic branching, so repeated runs are bit-identical
+  // regardless of thread counts anywhere else in the stack.
   OBS_SPAN("tran/adaptive");
   const TranTolerance defaults = tran_tolerance_default();
   const double rtol = opts.rtol > 0.0 ? opts.rtol : defaults.rtol;
   const double atol = opts.atol > 0.0 ? opts.atol : defaults.atol;
   const double dt_min = opts.dt_min > 0.0 ? opts.dt_min : opts.tstop * 1e-12;
   const double dt_max = opts.dt_max > 0.0 ? opts.dt_max : opts.tstop / 8.0;
-  double h = std::clamp(opts.dt, dt_min, dt_max);
-  double norm_prev = 1.0;
+  const double h_restart = std::clamp(opts.dt / 16.0, dt_min, dt_max);
+  const std::vector<double> corners = source_breakpoints(c, opts.tstop);
+  std::size_t next_corner = 0;
+  std::size_t anchor = 0;  // sample the history restarts from
+  double h = h_restart;
   int consecutive_rejects = 0;
-  std::vector<double> x_trap;
-  std::vector<double> x_be;
   while (result.time.back() < opts.tstop) {
-    const double t_prev = result.time.back();
-    double time = t_prev + h;
-    if (time >= opts.tstop) time = opts.tstop;  // exact landing
+    const std::size_t k = result.time.size() - 1;
+    const double t_prev = result.time[k];
+    while (next_corner < corners.size() && corners[next_corner] <= t_prev) {
+      ++next_corner;
+    }
+    const double limit =
+        next_corner < corners.size() ? corners[next_corner] : opts.tstop;
+    const double time = std::min(t_prev + h, limit);  // exact landing
     const double h_try = time - t_prev;
     if (h_try <= 0.0) break;  // cannot advance in double precision
 
-    const std::vector<double>& x_prev = result.states.back();
-    x_trap = x_prev;
-    StepStatus status =
-        ctx.solve(time, h_try, /*trapezoidal=*/true, x_prev, dvdt_prev,
-                  &x_trap);
+    // Backward Euler for the first two steps after a restart; from then on
+    // three accepted samples since the anchor carry the error estimate.
+    const std::size_t known = k - anchor;
+    const bool trapezoidal = known >= 2;
+    predict(result.time, result.states, std::min<std::size_t>(known, 2),
+            time, &x);
+    const StepStatus status = ctx.solve(time, h_try, trapezoidal,
+                                        result.states[k], dvdt_prev, &x);
     if (status == StepStatus::kSingular) {
       result.error = "singular transient Jacobian";
       return result;
     }
-    double err_norm = 0.0;
-    if (status == StepStatus::kConverged) {
-      x_be = x_prev;
-      const StepStatus be_status =
-          ctx.solve(time, h_try, /*trapezoidal=*/false, x_prev, dvdt_prev,
-                    &x_be);
-      if (be_status == StepStatus::kSingular) {
-        result.error = "singular transient Jacobian";
-        return result;
-      }
-      if (be_status == StepStatus::kConverged) {
-        for (std::size_t i = 0; i < nv; ++i) {
-          const double err = std::abs(x_trap[i] - x_be[i]);
-          const double weight = atol + rtol * std::abs(x_trap[i]);
-          err_norm = std::max(err_norm, err / weight);
-        }
-      } else {
-        status = StepStatus::kNoConverge;
-      }
-    }
+    const double err_norm =
+        status == StepStatus::kConverged && trapezoidal
+            ? lte_norm(result.time, result.states, time, x, nv, rtol, atol)
+            : 0.0;
+    // Step factor from the error estimate: the LTE scales as h^3.
+    const double factor = std::clamp(
+        0.9 * std::cbrt(1.0 / std::max(err_norm, 1e-12)), 0.3, 2.0);
 
     if (status == StepStatus::kConverged && err_norm <= 1.0) {
-      accept(time, h_try, x_trap);
+      accept(time, h_try, x, trapezoidal);
       metrics.adaptive_steps.add();
       metrics.adaptive_min_dt.set_min(h_try);
       consecutive_rejects = 0;
-      // PI controller: grow on a small error estimate, damped by the
-      // previous step's error so the step size doesn't oscillate.
-      const double norm = std::max(err_norm, 1e-10);
-      const double factor = std::clamp(
-          0.9 * std::pow(norm, -0.35) * std::pow(norm_prev, 0.2), 0.2, 5.0);
-      norm_prev = norm;
-      h = std::clamp(h_try * factor, dt_min, dt_max);
+      if (time == limit && next_corner < corners.size()) {
+        anchor = k + 1;
+        h = h_restart;
+      } else if (trapezoidal) {
+        h = std::clamp(h_try * factor, dt_min, dt_max);
+      }
     } else {
       metrics.adaptive_rejects.add();
       ++consecutive_rejects;
@@ -348,12 +407,7 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
       }
       // Error too large: shrink by the estimate.  Newton failure: the step
       // was far too big for the nonlinearity — quarter it.
-      const double factor =
-          status == StepStatus::kConverged
-              ? std::clamp(0.9 * std::pow(std::max(err_norm, 1e-10), -0.5),
-                           0.1, 0.5)
-              : 0.25;
-      h = h_try * factor;
+      h = h_try * (status == StepStatus::kConverged ? factor : 0.25);
       if (h < dt_min) {
         result.error =
             "adaptive transient step underflow at t=" + std::to_string(time);

@@ -8,15 +8,19 @@
 //
 // Two stepping strategies (TranMode, see spice/sim_options.h):
 //
+//  - kAdaptive (the built-in default): one trapezoidal solve per step.
+//    The local truncation error h^3/12*|x'''|, with x''' from the third
+//    divided difference of the last four samples, is measured per node
+//    voltage against atol + rtol*|x|; a step is rejected and retried when
+//    it exceeds 1, and the next step is h*clamp(0.9*err^(-1/3), 0.3, 2).
+//    Newton starts from a quadratic through the last three samples.
+//    Steps land on every source corner (ckt::Waveform::breakpoints),
+//    where the history restarts with two backward-Euler steps of dt/16.
+//    Serial and branch-deterministic, so the output is bit-identical to
+//    itself across repeats, --jobs settings, shard worker counts, and
+//    daemon-vs-local — but only tolerance-equal to kFixed.
 //  - kFixed: marches dt-sized steps with a shortened final step landing
 //    exactly on tstop.  The permanent bitwise reference.
-//  - kAdaptive: trapezoidal step with an independent backward-Euler solve
-//    of the same step as an embedded error estimate.  The local error is
-//    measured per state variable against atol + rtol*|x|, steps are
-//    rejected and retried when it exceeds 1, and a PI controller picks the
-//    next step size.  Serial and branch-deterministic, so the output is
-//    bit-identical to itself across repeats, --jobs settings, shard worker
-//    counts, and daemon-vs-local — but only tolerance-equal to kFixed.
 #pragma once
 
 #include <string>
@@ -29,14 +33,16 @@ namespace oasys::sim {
 
 struct TranOptions {
   double tstop = 0.0;     // end time [s], > 0
-  double dt = 0.0;        // fixed step / initial adaptive step [s], > 0
+  // Fixed step; the adaptive engine steps dt/16 after t = 0 and after
+  // each source corner [s], > 0.
+  double dt = 0.0;
   bool trapezoidal = true;  // false = backward Euler (fixed mode only)
   int max_newton = 60;
   double vntol = 1e-6;
   double gmin = 1e-12;
   double vlimit_step = 0.6;
   // Stepping strategy; kDefault resolves to the process-wide default
-  // (tran_mode_default(), normally kFixed).
+  // (tran_mode_default(), normally kAdaptive).
   TranMode mode = TranMode::kDefault;
   // Adaptive error tolerances; values <= 0 resolve to the process-wide
   // defaults (tran_tolerance_default()).

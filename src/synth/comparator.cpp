@@ -448,6 +448,90 @@ ComparatorDesign design_comparator(const tech::Technology& t,
   return std::move(ctx.result);
 }
 
+ComparatorBench comparator_bench(const ComparatorDesign& design,
+                                 const tech::Technology& t,
+                                 double offset_applied) {
+  ComparatorBench b;
+  ckt::Circuit& c = b.circuit;
+  const BuiltOpAmp nodes = build_opamp(design.amp, t, c);
+  b.out = nodes.out;
+  c.add_vsource("VDD", nodes.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
+  c.add_vsource("VSS", nodes.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
+  c.add_capacitor("CL", nodes.out, ckt::kGround, design.spec.cload);
+  const double vcm = 0.5 * (design.spec.icmr_lo + design.spec.icmr_hi);
+  // The trip point of the positive input, offset-nulled: the op-amp offset
+  // search applied vid differentially, here the whole vid lands on inp.
+  const double trip = vcm + offset_applied;
+  c.add_vsource("VREF", nodes.inn, ckt::kGround, ckt::Waveform::dc(vcm));
+  const double half = design.spec.tprop_max * 4.0;
+  b.t_rise = 0.1 * design.spec.tprop_max;
+  b.t_fall = b.t_rise + half;
+  c.add_vsource("VSTEP", nodes.inp, ckt::kGround,
+                ckt::Waveform::pulse(trip - design.spec.resolution,
+                                     trip + design.spec.resolution, b.t_rise,
+                                     1e-9, 1e-9, half, 2.0 * half));
+  b.tran.tstop = 2.0 * half;
+  b.tran.dt = design.spec.tprop_max / 400.0;
+  // The settled levels are absolute voltages read microseconds into the
+  // run, after the slewing edge.  At the default rtol (1e-3) the adaptive
+  // engine's global error there reaches a few mV; 1e-6 keeps it within
+  // 0.2 mV of a dt/64 fixed-step run, in ~300 steps.
+  b.tran.rtol = 1e-6;
+  return b;
+}
+
+bool comparator_step_response(const ComparatorBench& b,
+                              const tech::Technology& t,
+                              const sim::TranOptions& tran,
+                              MeasuredComparator* m) {
+  const sim::OpResult op = sim::dc_operating_point(b.circuit, t);
+  if (!op.converged) {
+    m->error = "comparator transient operating point failed";
+    return false;
+  }
+  const sim::TranResult tr = sim::transient(b.circuit, t, op, tran);
+  if (!tr.ok) {
+    m->error = "comparator transient failed: " + tr.error;
+    return false;
+  }
+  const sim::MnaLayout layout(b.circuit);
+  const std::vector<double> vout = tr.node_waveform(layout, b.out);
+  const double mid = t.mid_supply();
+
+  // Delay from `t0` to the first mid-supply crossing after it, placed on
+  // the line between the two samples that bracket it, so the delay does
+  // not depend on where the stepping put its samples.
+  auto crossing_after = [&](double t0, bool rising) -> double {
+    for (std::size_t i = 1; i < tr.time.size(); ++i) {
+      if (tr.time[i] <= t0) continue;
+      const bool crossed = rising ? (vout[i - 1] < mid && vout[i] >= mid)
+                                  : (vout[i - 1] > mid && vout[i] <= mid);
+      if (crossed) {
+        const double frac = (mid - vout[i - 1]) / (vout[i] - vout[i - 1]);
+        return tr.time[i - 1] + frac * (tr.time[i] - tr.time[i - 1]) - t0;
+      }
+    }
+    return -1.0;
+  };
+  const double rise = crossing_after(b.t_rise, true);
+  const double fall = crossing_after(b.t_fall, false);
+  if (rise < 0.0 || fall < 0.0) {
+    m->error = "output never crossed mid-supply";
+    return false;
+  }
+  m->delay_rising = rise;
+  m->delay_falling = fall;
+  // Settled logic levels: the high plateau up to the falling edge (read
+  // on the dense output at the edge itself, wherever the samples fell),
+  // the low plateau anywhere in the record.
+  m->out_high = tr.voltage_at(layout, b.out, b.t_fall);
+  for (std::size_t i = 0; i < tr.time.size(); ++i) {
+    if (tr.time[i] < b.t_fall) m->out_high = std::max(m->out_high, vout[i]);
+  }
+  m->out_low = *std::min_element(vout.begin(), vout.end());
+  return true;
+}
+
 MeasuredComparator measure_comparator(const ComparatorDesign& design,
                                       const tech::Technology& t) {
   MeasuredComparator m;
@@ -467,69 +551,8 @@ MeasuredComparator measure_comparator(const ComparatorDesign& design,
   m.offset = amp.perf.offset;
   m.power = amp.perf.power;
 
-  // Transient: drive the positive input with a step of +/-resolution about
-  // the trip point and time the output's mid-supply crossings.
-  ckt::Circuit c;
-  const BuiltOpAmp nodes = build_opamp(design.amp, t, c);
-  c.add_vsource("VDD", nodes.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-  c.add_vsource("VSS", nodes.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
-  c.add_capacitor("CL", nodes.out, ckt::kGround, design.spec.cload);
-  const double vcm = 0.5 * (design.spec.icmr_lo + design.spec.icmr_hi);
-  // The trip point of the positive input, offset-nulled: the op-amp offset
-  // search applied vid differentially, here the whole vid lands on inp.
-  const double trip = vcm + amp.offset_applied;
-  c.add_vsource("VREF", nodes.inn, ckt::kGround, ckt::Waveform::dc(vcm));
-  const double half = design.spec.tprop_max * 4.0;
-  c.add_vsource(
-      "VSTEP", nodes.inp, ckt::kGround,
-      ckt::Waveform::pulse(trip - design.spec.resolution,
-                           trip + design.spec.resolution,
-                           0.1 * design.spec.tprop_max, 1e-9, 1e-9, half,
-                           2.0 * half));
-
-  const sim::OpResult op = sim::dc_operating_point(c, t);
-  if (!op.converged) {
-    m.error = "comparator transient operating point failed";
-    return m;
-  }
-  sim::TranOptions to;
-  to.tstop = 2.0 * half;
-  to.dt = design.spec.tprop_max / 400.0;
-  const sim::TranResult tr = sim::transient(c, t, op, to);
-  if (!tr.ok) {
-    m.error = "comparator transient failed: " + tr.error;
-    return m;
-  }
-  const sim::MnaLayout layout(c);
-  const std::vector<double> vout = tr.node_waveform(layout, nodes.out);
-  const double mid = t.mid_supply();
-  const double t_rise_start = 0.1 * design.spec.tprop_max;
-  const double t_fall_start = t_rise_start + half;
-
-  auto crossing_after = [&](double t0, bool rising) -> double {
-    for (std::size_t i = 1; i < tr.time.size(); ++i) {
-      if (tr.time[i] <= t0) continue;
-      const bool crossed = rising ? (vout[i - 1] < mid && vout[i] >= mid)
-                                  : (vout[i - 1] > mid && vout[i] <= mid);
-      if (crossed) return tr.time[i] - t0;
-    }
-    return -1.0;
-  };
-  const double rise = crossing_after(t_rise_start, true);
-  const double fall = crossing_after(t_fall_start, false);
-  if (rise < 0.0 || fall < 0.0) {
-    m.error = "output never crossed mid-supply";
-    return m;
-  }
-  m.delay_rising = rise;
-  m.delay_falling = fall;
-  // Settled logic levels: the high plateau before the falling edge, the
-  // low plateau anywhere in the record.
-  m.out_high = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < tr.time.size(); ++i) {
-    if (tr.time[i] < t_fall_start) m.out_high = std::max(m.out_high, vout[i]);
-  }
-  m.out_low = *std::min_element(vout.begin(), vout.end());
+  const ComparatorBench b = comparator_bench(design, t, amp.offset_applied);
+  if (!comparator_step_response(b, t, b.tran, &m)) return m;
   m.ok = true;
   return m;
 }

@@ -71,4 +71,32 @@ struct MeasuredComparator {
 MeasuredComparator measure_comparator(const ComparatorDesign& design,
                                       const tech::Technology& t);
 
+// Step fixture of measure_comparator: the amplifier open loop with the
+// spec load, its negative input at the ICMR midpoint and its positive
+// input a pulse of +/-resolution about the trip point (the midpoint plus
+// `offset_applied`, the nulled offset).  The input rises at t_rise and
+// falls at t_fall, four tprop_max later; `tran` spans both half periods
+// with an initial step of tprop_max/400 and rtol 1e-6, its stepping mode
+// left at kDefault.
+struct ComparatorBench {
+  ckt::Circuit circuit;
+  ckt::NodeId out = ckt::kGround;
+  double t_rise = 0.0;  // [s]
+  double t_fall = 0.0;  // [s]
+  sim::TranOptions tran;
+};
+
+ComparatorBench comparator_bench(const ComparatorDesign& design,
+                                 const tech::Technology& t,
+                                 double offset_applied);
+
+// Runs the fixture under `tran` and fills m's delays (each from its input
+// edge to the output's first mid-supply crossing, interpolated between
+// samples) and settled levels.  On failure sets m->error and returns
+// false.  measure_comparator runs it with b.tran.
+bool comparator_step_response(const ComparatorBench& b,
+                              const tech::Technology& t,
+                              const sim::TranOptions& tran,
+                              MeasuredComparator* m);
+
 }  // namespace oasys::synth

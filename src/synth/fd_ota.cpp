@@ -9,6 +9,7 @@
 #include "spice/measure.h"
 #include "spice/tran.h"
 #include "synth/designer_common.h"
+#include "synth/testbench.h"
 #include "util/text.h"
 
 namespace oasys::synth {
@@ -434,9 +435,7 @@ FdOtaBench fd_ota_bench(const FdOtaDesign& design,
   b.nodes = build_fd_ota(design, t, c);
   c.add_vsource("VDD", b.nodes.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
   c.add_vsource("VSS", b.nodes.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
-  b.vcm = design.spec.icmr_lo != 0.0 || design.spec.icmr_hi != 0.0
-              ? 0.5 * (design.spec.icmr_lo + design.spec.icmr_hi)
-              : t.mid_supply();
+  b.vcm = input_common_mode(design.spec, t);
   c.add_vsource("VIP", b.nodes.inp, ckt::kGround,
                 ckt::Waveform::ac(b.vcm, 0.5, 0.0));
   c.add_vsource("VIN", b.nodes.inn, ckt::kGround,
@@ -450,6 +449,45 @@ FdOtaBench fd_ota_bench(const FdOtaDesign& design,
                     1e-2);
   b.freqs = num::logspace(b.fmin, 1e9, 101);
   return b;
+}
+
+CmStepBench cm_step_bench(const FdOtaDesign& design,
+                          const tech::Technology& t, double gbw) {
+  CmStepBench b;
+  ckt::Circuit& tc = b.circuit;
+  const BuiltFdOta& tn = b.nodes = build_fd_ota(design, t, tc);
+  tc.add_vsource("VDD", tn.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
+  tc.add_vsource("VSS", tn.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
+  const double vcm = input_common_mode(design.spec, t);
+  const double t_settle = 30.0 / std::max(gbw, 1e5);
+  const ckt::Waveform step = ckt::Waveform::pulse(
+      vcm, vcm + 0.2, t_settle * 0.1, 1e-9, 1e-9, t_settle * 2.0,
+      t_settle * 4.0);
+  tc.add_vsource("VSTEP", tn.inp, ckt::kGround, step);
+  // The other input follows the same CM step.
+  tc.add_vsource("VSTEP2", tn.inn, ckt::kGround, step);
+  if (design.spec.cload > 0.0) {
+    tc.add_capacitor("CLP", tn.outp, ckt::kGround, design.spec.cload);
+    tc.add_capacitor("CLM", tn.outm, ckt::kGround, design.spec.cload);
+  }
+  b.tran.tstop = t_settle;
+  b.tran.dt = t_settle / 500.0;
+  return b;
+}
+
+std::optional<double> cm_step_drift(const CmStepBench& b,
+                                    const tech::Technology& t,
+                                    const sim::TranOptions& tran) {
+  const sim::OpResult op = sim::dc_operating_point(b.circuit, t);
+  if (!op.converged) return std::nullopt;
+  const sim::TranResult tr = sim::transient(b.circuit, t, op, tran);
+  if (!tr.ok) return std::nullopt;
+  const sim::MnaLayout tl(b.circuit);
+  const auto cm = [&](std::size_t i) {
+    return 0.5 * (tr.voltage(tl, i, b.nodes.outp) +
+                  tr.voltage(tl, i, b.nodes.outm));
+  };
+  return std::abs(cm(tr.time.size() - 1) - cm(0));
 }
 
 MeasuredFdOta measure_fd_ota(const FdOtaDesign& design,
@@ -522,40 +560,9 @@ MeasuredFdOta measure_fd_ota(const FdOtaDesign& design,
   // CM-loop stability: a common-mode input step must settle back without
   // sustained ringing.
   {
-    ckt::Circuit tc;
-    const BuiltFdOta tn = build_fd_ota(design, t, tc);
-    tc.add_vsource("VDD", tn.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-    tc.add_vsource("VSS", tn.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
-    const double t_settle = 30.0 / std::max(m.gbw, 1e5);
-    tc.add_vsource("VSTEP", tn.inp, ckt::kGround,
-                   ckt::Waveform::pulse(vcm, vcm + 0.2, t_settle * 0.1,
-                                        1e-9, 1e-9, t_settle * 2.0,
-                                        t_settle * 4.0));
-    // The other input follows the same CM step.
-    tc.add_vsource("VSTEP2", tn.inn, ckt::kGround,
-                   ckt::Waveform::pulse(vcm, vcm + 0.2, t_settle * 0.1,
-                                        1e-9, 1e-9, t_settle * 2.0,
-                                        t_settle * 4.0));
-    if (design.spec.cload > 0.0) {
-      tc.add_capacitor("CLP", tn.outp, ckt::kGround, design.spec.cload);
-      tc.add_capacitor("CLM", tn.outm, ckt::kGround, design.spec.cload);
-    }
-    const sim::MnaLayout tl(tc);
-    const sim::OpResult top_ = sim::dc_operating_point(tc, t);
-    if (top_.converged) {
-      sim::TranOptions to;
-      to.tstop = t_settle;
-      to.dt = t_settle / 500.0;
-      const sim::TranResult tr = sim::transient(tc, t, top_, to);
-      if (tr.ok) {
-        // CM of the outputs settles within 100 mV of its start.
-        const double cm0 = 0.5 * (tr.voltage(tl, 0, tn.outp) +
-                                  tr.voltage(tl, 0, tn.outm));
-        const std::size_t last = tr.time.size() - 1;
-        const double cm1 = 0.5 * (tr.voltage(tl, last, tn.outp) +
-                                  tr.voltage(tl, last, tn.outm));
-        m.cm_loop_settles = std::abs(cm1 - cm0) < 0.25;
-      }
+    const CmStepBench cb = cm_step_bench(design, t, m.gbw);
+    if (const auto drift = cm_step_drift(cb, t, cb.tran)) {
+      m.cm_loop_settles = *drift < 0.25;
     }
   }
 

@@ -18,8 +18,11 @@
 // like the cascode gate biases).
 #pragma once
 
+#include <optional>
+
 #include "core/spec.h"
 #include "netlist/circuit.h"
+#include "spice/tran.h"
 #include "synth/opamp_design.h"
 #include "tech/technology.h"
 
@@ -78,6 +81,28 @@ struct FdOtaBench {
 };
 
 FdOtaBench fd_ota_bench(const FdOtaDesign& design, const tech::Technology& t);
+
+// Common-mode step fixture of measure_fd_ota: both inputs step 0.2 V
+// together from the input common mode, with the spec load on both
+// outputs.  `tran` spans thirty time constants of `gbw` (the measured
+// differential unity-gain frequency, floored at 100 kHz) with an initial
+// step of a 500th of that, its stepping mode left at kDefault.
+struct CmStepBench {
+  ckt::Circuit circuit;
+  BuiltFdOta nodes;
+  sim::TranOptions tran;
+};
+
+CmStepBench cm_step_bench(const FdOtaDesign& design,
+                          const tech::Technology& t, double gbw);
+
+// How far the output common mode ends from where it started under `tran`
+// [V]; nullopt when the operating point or the transient fails.
+// measure_fd_ota runs it with b.tran and calls the CM loop settled below
+// 0.25 V.
+std::optional<double> cm_step_drift(const CmStepBench& b,
+                                    const tech::Technology& t,
+                                    const sim::TranOptions& tran);
 
 // Simulator verification: differential AC response, output common-mode
 // accuracy, CM-loop step stability, differential swing.

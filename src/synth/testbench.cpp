@@ -16,6 +16,13 @@
 
 namespace oasys::synth {
 
+double input_common_mode(const core::OpAmpSpec& spec,
+                         const tech::Technology& t) {
+  return spec.icmr_lo != 0.0 || spec.icmr_hi != 0.0
+             ? 0.5 * (spec.icmr_lo + spec.icmr_hi)
+             : t.mid_supply();
+}
+
 OpenLoopBench::OpenLoopBench(const OpAmpDesign& d,
                              const tech::Technology& t) {
   nodes = build_opamp(d, t, circuit);
@@ -23,9 +30,7 @@ OpenLoopBench::OpenLoopBench(const OpAmpDesign& d,
                       ckt::Waveform::dc(t.vdd));
   circuit.add_vsource("VSS", nodes.vss, ckt::kGround,
                       ckt::Waveform::dc(t.vss));
-  vcm = d.spec.icmr_lo != 0.0 || d.spec.icmr_hi != 0.0
-            ? 0.5 * (d.spec.icmr_lo + d.spec.icmr_hi)
-            : t.mid_supply();
+  vcm = input_common_mode(d.spec, t);
   circuit.add_vsource("VIP", nodes.inp, ckt::kGround,
                       ckt::Waveform::ac(vcm, 0.5, 0.0));
   circuit.add_vsource("VIN", nodes.inn, ckt::kGround,
@@ -135,6 +140,57 @@ std::vector<double> open_loop_freqs(const OpAmpDesign& d,
                                     const MeasureOptions& opts) {
   return num::logspace(open_loop_fmin(d, opts), opts.ac_fmax,
                        opts.ac_points);
+}
+
+namespace {
+
+// The op-amp as a unity-gain follower in `c`: supplies, the spec load, and
+// the inverting input wired straight to the output.  The slew step and the
+// ICMR sweep drive its non-inverting input.
+BuiltOpAmp build_follower(const OpAmpDesign& d, const tech::Technology& t,
+                          ckt::Circuit& c) {
+  const BuiltOpAmp fn = build_opamp(d, t, c, c.node("out"));
+  c.add_vsource("VDD", fn.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
+  c.add_vsource("VSS", fn.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
+  if (d.spec.cload > 0.0) {
+    c.add_capacitor("CL", fn.out, ckt::kGround, d.spec.cload);
+  }
+  return fn;
+}
+
+}  // namespace
+
+SlewBench slew_bench(const OpAmpDesign& d, const tech::Technology& t,
+                     double gbw, const MeasureOptions& opts) {
+  SlewBench sb;
+  const BuiltOpAmp fn = build_follower(d, t, sb.circuit);
+  sb.out = fn.out;
+  const double slew_target = std::max(d.spec.slew_min, util::v_per_us(0.1));
+  const double t_edge = opts.step_amplitude / slew_target;
+  const double t_settle = gbw > 0.0 ? 10.0 / gbw : t_edge;
+  const double t_half = 3.0 * t_edge + 3.0 * t_settle;
+  const double dt = t_half / 600.0;
+  const double vcm = input_common_mode(d.spec, t);
+  sb.circuit.add_vsource(
+      "VSTEP", fn.inp, ckt::kGround,
+      ckt::Waveform::pulse(vcm - 0.5 * opts.step_amplitude,
+                           vcm + 0.5 * opts.step_amplitude, 2.0 * dt, dt, dt,
+                           t_half, 2.0 * t_half));
+  sb.tran.tstop = 2.0 * t_half;
+  sb.tran.dt = dt;
+  return sb;
+}
+
+std::optional<double> follower_slew(const SlewBench& sb,
+                                    const tech::Technology& t,
+                                    const sim::TranOptions& tran) {
+  const sim::OpResult op = sim::dc_operating_point(sb.circuit, t);
+  if (!op.converged) return std::nullopt;
+  const sim::TranResult tr = sim::transient(sb.circuit, t, op, tran);
+  if (!tr.ok) return std::nullopt;
+  const auto slew = sim::slew_rate(tr, sim::MnaLayout(sb.circuit), sb.out);
+  if (!slew) return std::nullopt;
+  return std::min(slew->rising, slew->falling);
 }
 
 MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
@@ -253,91 +309,49 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
     bench.set_vid(null.vid);
   }
 
-  // --- follower fixture for slew and ICMR ------------------------------------
-  if (opts.measure_slew || opts.measure_icmr) {
-    ckt::Circuit fc;
-    // Wire the inverting input straight to the output: unity-gain buffer.
-    const ckt::NodeId fout = fc.node("out");
-    const BuiltOpAmp fn = build_opamp(design, t, fc, fout);
-    fc.add_vsource("VDD", fn.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-    fc.add_vsource("VSS", fn.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
-    if (design.spec.cload > 0.0) {
-      fc.add_capacitor("CL", fn.out, ckt::kGround, design.spec.cload);
-    }
-    const sim::MnaLayout flayout(fc);
+  // --- slew: follower step ---------------------------------------------------
+  if (opts.measure_slew) {
+    const SlewBench sb = slew_bench(design, t, m.perf.gbw, opts);
+    if (const auto slew = follower_slew(sb, t, sb.tran)) m.perf.slew = *slew;
+  }
 
-    if (opts.measure_slew) {
-      const double slew_target =
-          std::max(design.spec.slew_min, util::v_per_us(0.1));
-      const double t_edge = opts.step_amplitude / slew_target;
-      const double t_settle =
-          m.perf.gbw > 0.0 ? 10.0 / m.perf.gbw : t_edge;
-      const double t_half = 3.0 * t_edge + 3.0 * t_settle;
-      const double dt = t_half / 600.0;
-      fc.add_vsource(
-          "VSTEP", fn.inp, ckt::kGround,
-          ckt::Waveform::pulse(bench.vcm - 0.5 * opts.step_amplitude,
-                               bench.vcm + 0.5 * opts.step_amplitude,
-                               2.0 * dt, dt, dt, t_half, 2.0 * t_half));
-      const sim::OpResult fop = sim::dc_operating_point(fc, t);
-      if (fop.converged) {
-        sim::TranOptions to;
-        to.tstop = 2.0 * t_half;
-        to.dt = dt;
-        const sim::TranResult tr = sim::transient(fc, t, fop, to);
-        if (tr.ok) {
-          const auto slew = sim::slew_rate(tr, flayout, fn.out);
-          if (slew) {
-            m.perf.slew = std::min(slew->rising, slew->falling);
-          }
+  // --- ICMR: follower DC sweep -------------------------------------------------
+  if (opts.measure_icmr) {
+    ckt::Circuit ic;
+    const BuiltOpAmp in = build_follower(design, t, ic);
+    ic.add_vsource("VCM", in.inp, ckt::kGround,
+                   ckt::Waveform::dc(bench.vcm));
+    const sim::MnaLayout ilayout(ic);
+    const std::vector<double> points = num::linspace(
+        t.vss + 0.3, t.vdd - 0.3, opts.icmr_points);
+    const sim::DcSweepResult sweep =
+        sim::dc_sweep_vsource(ic, t, "VCM", points);
+    if (sweep.ok) {
+      const std::vector<double> vout =
+          sweep.node_voltages(ilayout, in.out);
+      // Widest contiguous tracking window containing the mid common mode.
+      double lo = bench.vcm, hi = bench.vcm;
+      std::size_t mid_idx = 0;
+      double best = 1e9;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        if (std::abs(points[i] - bench.vcm) < best) {
+          best = std::abs(points[i] - bench.vcm);
+          mid_idx = i;
         }
       }
-      // Remove the step source for the ICMR sweep below by rebuilding.
-    }
-
-    if (opts.measure_icmr) {
-      ckt::Circuit ic;
-      const ckt::NodeId iout = ic.node("out");
-      const BuiltOpAmp in = build_opamp(design, t, ic, iout);
-      ic.add_vsource("VDD", in.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-      ic.add_vsource("VSS", in.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
-      if (design.spec.cload > 0.0) {
-        ic.add_capacitor("CL", in.out, ckt::kGround, design.spec.cload);
+      auto tracks = [&](std::size_t i) {
+        return std::abs(vout[i] - points[i]) < opts.icmr_track_tol;
+      };
+      if (tracks(mid_idx)) {
+        std::size_t i = mid_idx;
+        while (i > 0 && tracks(i - 1)) --i;
+        lo = points[i];
+        i = mid_idx;
+        while (i + 1 < points.size() && tracks(i + 1)) ++i;
+        hi = points[i];
       }
-      ic.add_vsource("VCM", in.inp, ckt::kGround,
-                     ckt::Waveform::dc(bench.vcm));
-      const sim::MnaLayout ilayout(ic);
-      const std::vector<double> points = num::linspace(
-          t.vss + 0.3, t.vdd - 0.3, opts.icmr_points);
-      const sim::DcSweepResult sweep =
-          sim::dc_sweep_vsource(ic, t, "VCM", points);
-      if (sweep.ok) {
-        const std::vector<double> vout =
-            sweep.node_voltages(ilayout, in.out);
-        // Widest contiguous tracking window containing the mid common mode.
-        double lo = bench.vcm, hi = bench.vcm;
-        std::size_t mid_idx = 0;
-        double best = 1e9;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-          if (std::abs(points[i] - bench.vcm) < best) {
-            best = std::abs(points[i] - bench.vcm);
-            mid_idx = i;
-          }
-        }
-        auto tracks = [&](std::size_t i) {
-          return std::abs(vout[i] - points[i]) < opts.icmr_track_tol;
-        };
-        if (tracks(mid_idx)) {
-          std::size_t i = mid_idx;
-          while (i > 0 && tracks(i - 1)) --i;
-          lo = points[i];
-          i = mid_idx;
-          while (i + 1 < points.size() && tracks(i + 1)) ++i;
-          hi = points[i];
-        }
-        m.perf.icmr_lo = lo;
-        m.perf.icmr_hi = hi;
-      }
+      m.perf.icmr_lo = lo;
+      m.perf.icmr_hi = hi;
     }
   }
 

@@ -16,6 +16,7 @@
 //    point.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "spice/dc.h"
 #include "spice/measure.h"
 #include "spice/noise.h"
+#include "spice/tran.h"
 #include "spice/workspace.h"
 #include "synth/netlist_builder.h"
 #include "synth/opamp_design.h"
@@ -72,6 +74,11 @@ struct MeasuredOpAmp {
   std::vector<std::string> non_saturated;
 };
 
+// The input common mode the verification fixtures bias at: the midpoint
+// of the spec's ICMR, or mid-supply when the spec leaves the ICMR open.
+double input_common_mode(const core::OpAmpSpec& spec,
+                         const tech::Technology& t);
+
 // Open-loop measurement fixture, shared by verification, mismatch and
 // yield: supplies, differential input sources VIP/VIN around the spec's
 // common-mode midpoint (AC +-0.5 each, for the differential sweep), and
@@ -111,6 +118,27 @@ struct OffsetNull {
 OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
                           const std::vector<double>& warm = {},
                           sim::SimWorkspace* ws = nullptr);
+
+// Slew fixture: the op-amp as a unity-gain follower with the spec load,
+// its input a pulse of opts.step_amplitude about the input common mode.
+// One half period covers three slew-limited edges at the spec's slew (at
+// least 0.1 V/us) plus thirty time constants of `gbw` (the measured
+// unity-gain frequency; 0 when unknown).  `tran` carries that window and
+// the initial step, t_half/600, with the stepping mode left at kDefault.
+struct SlewBench {
+  ckt::Circuit circuit;
+  ckt::NodeId out = ckt::kGround;
+  sim::TranOptions tran;
+};
+SlewBench slew_bench(const OpAmpDesign& d, const tech::Technology& t,
+                     double gbw, const MeasureOptions& opts = {});
+
+// min(rising, falling) slew rate of the fixture's output under `tran`;
+// nullopt when the operating point or the transient fails.  measure_opamp
+// runs it with sb.tran.
+std::optional<double> follower_slew(const SlewBench& sb,
+                                    const tech::Technology& t,
+                                    const sim::TranOptions& tran);
 
 MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
                             const tech::Technology& t,

@@ -6,7 +6,9 @@
 # on the thread count.  This script pins that end to end:
 #   1. `oasys --spec S --verify --tran-mode adaptive` stdout is
 #      byte-identical at --jobs 1, 2, 4.
-#   2. The adaptive report differs from the fixed-step report (the two
+#   2. With no --tran-mode flag the report is byte-identical to
+#      `--tran-mode adaptive`: adaptive stepping is the built-in default.
+#   3. The adaptive report differs from the fixed-step report (the two
 #      modes are distinct engines; if they ever produced identical bytes
 #      the mode plumbing would be dead).
 #
@@ -32,6 +34,22 @@ if(NOT out_j1 STREQUAL out_j2 OR NOT out_j1 STREQUAL out_j4)
           "--- jobs 4 ---\n${out_j4}")
 endif()
 message(STATUS "adaptive transient report byte-identical at --jobs 1/2/4")
+
+execute_process(
+  COMMAND ${OASYS_CLI} --spec ${SPEC} --verify
+  RESULT_VARIABLE rc
+  OUTPUT_FILE ${WORK_DIR}/tran_default.out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "oasys with no --tran-mode failed (exit ${rc})")
+endif()
+file(READ ${WORK_DIR}/tran_default.out out_default)
+if(NOT out_default STREQUAL out_j1)
+  message(FATAL_ERROR
+          "the report with no --tran-mode differs from --tran-mode "
+          "adaptive, the built-in default:\n--- default ---\n"
+          "${out_default}\n--- adaptive ---\n${out_j1}")
+endif()
+message(STATUS "no --tran-mode is byte-identical to --tran-mode adaptive")
 
 execute_process(
   COMMAND ${OASYS_CLI} --spec ${SPEC} --verify --tran-mode fixed

@@ -48,6 +48,43 @@ TEST(Waveform, SineShape) {
   EXPECT_THROW(Waveform::sine(0.0, 1.0, 0.0), std::invalid_argument);
 }
 
+TEST(Waveform, PulseBreakpointsRepeatPerPeriod) {
+  const Waveform w = Waveform::pulse(0.0, 1.0, /*delay=*/1.0, /*rise=*/1.0,
+                                     /*fall=*/1.0, /*width=*/2.0,
+                                     /*period=*/10.0);
+  const std::vector<double> expected = {1.0,  2.0,  4.0,  5.0,
+                                        11.0, 12.0, 14.0, 15.0};
+  EXPECT_EQ(w.breakpoints(20.0), expected);
+  // Corners past tstop are left out; an unrepeated pulse has four.
+  EXPECT_EQ(w.breakpoints(11.5), std::vector<double>({1.0, 2.0, 4.0, 5.0,
+                                                      11.0}));
+  const Waveform once = Waveform::pulse(0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.0);
+  EXPECT_EQ(once.breakpoints(100.0),
+            std::vector<double>({1.0, 2.0, 4.0, 5.0}));
+  // A zero rise time merges two corners into one.
+  const Waveform sharp = Waveform::pulse(0.0, 1.0, 1.0, 0.0, 1.0, 2.0, 0.0);
+  EXPECT_EQ(sharp.breakpoints(100.0), std::vector<double>({1.0, 3.0, 4.0}));
+}
+
+TEST(Waveform, PulseBreakpointsIncludeCornerAtTstop) {
+  const Waveform w = Waveform::pulse(0.0, 1.0, /*delay=*/1.0, /*rise=*/1.0,
+                                     /*fall=*/1.0, /*width=*/2.0,
+                                     /*period=*/10.0);
+  EXPECT_EQ(w.breakpoints(5.0), std::vector<double>({1.0, 2.0, 4.0, 5.0}));
+  EXPECT_EQ(w.breakpoints(11.0), std::vector<double>({1.0, 2.0, 4.0, 5.0,
+                                                      11.0}));
+  // A zero delay puts the first corner on t = 0.
+  const Waveform at_zero = Waveform::pulse(0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0);
+  EXPECT_EQ(at_zero.breakpoints(3.0),
+            std::vector<double>({0.0, 1.0, 2.0, 3.0}));
+}
+
+TEST(Waveform, SmoothSourcesHaveNoBreakpoints) {
+  EXPECT_TRUE(Waveform::dc(2.5).breakpoints(1.0).empty());
+  EXPECT_TRUE(Waveform::ac(1.0, 0.5, 180.0).breakpoints(1.0).empty());
+  EXPECT_TRUE(Waveform::sine(1.0, 0.5, 1e3, 1e-3).breakpoints(1.0).empty());
+}
+
 TEST(Waveform, WithDcAndWithAc) {
   const Waveform w = Waveform::ac(1.0, 0.5).with_dc(2.0).with_ac(0.25, 90.0);
   EXPECT_DOUBLE_EQ(w.dc_value(), 2.0);

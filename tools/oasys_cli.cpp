@@ -107,9 +107,10 @@ int usage() {
       "  --jobs N        worker threads for synthesis + simulation\n"
       "                  (default: hardware concurrency; 1 = serial;\n"
       "                  results are identical at every setting)\n"
-      "  --tran-mode M   transient integrator: 'fixed' (uniform-step\n"
-      "                  reference, default) or 'adaptive' (embedded-error\n"
-      "                  step control; tolerance-equal to fixed, not\n"
+      "  --tran-mode M   transient integrator: 'adaptive' (default;\n"
+      "                  truncation-error step control, steps land on\n"
+      "                  source corners) or 'fixed' (uniform-step\n"
+      "                  reference; tolerance-equal to adaptive, not\n"
       "                  bit-equal, so the mode is part of cache keys and\n"
       "                  the wire config — fixed and adaptive never share\n"
       "                  a cache entry)\n"
