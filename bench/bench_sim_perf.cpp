@@ -4,18 +4,23 @@
 //
 // Two modes:
 //  * default — the google-benchmark timing loops;
-//  * --json <path> — the perf-trajectory record: measures the pre-workspace
-//    baseline kernels (by-value LU, per-iteration heap allocation, exactly
-//    the code shape this repo shipped before workspace reuse) against the
-//    production workspace-reusing paths in the same binary, and fixed vs
-//    adaptive transient stepping.  Self-checks that every baseline/
-//    production pairing produces bit-for-bit identical numbers (the AC
-//    sweep also across --jobs 1/2/4), that repeated runs are identical,
-//    and writes the JSON record.  Exit is non-zero only when an
-//    equivalence/determinism self-check fails; timings are informational.
+//  * --json <path> — the perf-trajectory record: measures the baseline
+//    kernels against the production paths in the same binary — the
+//    pre-workspace Newton solve (by-value LU, per-iteration heap
+//    allocation), dense per-point complex LU for the AC sweep and one LU
+//    solve per source for noise — and fixed vs adaptive transient stepping.
+//    Self-checks that the DC pairing is bit-for-bit identical, that the AC
+//    sweep and the noise spectrum agree with their LU baselines within
+//    1e-6 relative (the AC kernel solves a reduced pencil, so it agrees to
+//    rounding, not bit for bit), that the AC sweep is identical across
+//    --jobs 1/2/4, and that repeated runs are identical, then writes the
+//    JSON record.  Exit is non-zero only when a self-check fails; timings
+//    are informational.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdio>
 #include <vector>
 
@@ -26,6 +31,7 @@
 #include "spice/ac.h"
 #include "spice/dc.h"
 #include "spice/measure.h"
+#include "spice/noise.h"
 #include "spice/small_signal.h"
 #include "spice/tran.h"
 #include "synth/netlist_builder.h"
@@ -46,6 +52,7 @@ using namespace oasys;
 struct Fixture {
   tech::Technology t = tech::five_micron();
   ckt::Circuit circuit;
+  ckt::NodeId out = ckt::kGround;
   sim::OpResult op;
 
   Fixture() {
@@ -62,6 +69,7 @@ struct Fixture {
     circuit.add_vsource("VIN", nodes.inn, ckt::kGround,
                         ckt::Waveform::ac(0.0, 0.5, 180.0));
     circuit.add_capacitor("CL", nodes.out, ckt::kGround, 10e-12);
+    out = nodes.out;
     op = sim::dc_operating_point(circuit, t);
   }
 };
@@ -208,25 +216,31 @@ sim::OpResult baseline_dc(const ckt::Circuit& c, const tech::Technology& t,
   return result;
 }
 
-// The pre-workspace AC sweep, reproduced exactly: a fresh complex matrix
-// per frequency point, element-wise fill, by-value factor and solve.
+// G + j2pifC as a fresh dense complex matrix, element-wise fill, factored
+// by value: the per-point LU the AC kernel replaced.
+num::LuFactors<Cplx> dense_lu(const num::RealMatrix& g,
+                              const num::RealMatrix& cap, double f) {
+  const std::size_t n = g.rows();
+  const double w = util::kTwoPi * f;
+  num::ComplexMatrix y(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t col = 0; col < n; ++col) {
+      y(r, col) = Cplx(g(r, col), w * cap(r, col));
+    }
+  }
+  return num::lu_factor(std::move(y));
+}
+
+// The dense AC sweep: one dense_lu and one solve per frequency point.
 std::vector<std::vector<Cplx>> baseline_ac(const num::RealMatrix& g,
                                            const num::RealMatrix& cap,
                                            const std::vector<Cplx>& rhs,
                                            const std::vector<double>& freqs,
                                            bool* ok) {
-  const std::size_t n = g.rows();
   std::vector<std::vector<Cplx>> solutions(freqs.size());
   *ok = true;
   for (std::size_t i = 0; i < freqs.size(); ++i) {
-    const double w = util::kTwoPi * freqs[i];
-    num::ComplexMatrix y(n, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t col = 0; col < n; ++col) {
-        y(r, col) = Cplx(g(r, col), w * cap(r, col));
-      }
-    }
-    auto lu = num::lu_factor(std::move(y));
+    const auto lu = dense_lu(g, cap, freqs[i]);
     if (lu.singular) {
       *ok = false;
       return solutions;
@@ -248,6 +262,36 @@ std::vector<Cplx> ac_excitation(const ckt::Circuit& c,
     }
   }
   return rhs;
+}
+
+// Output noise PSD per frequency the dense way: one dense_lu per
+// frequency, then one solve per noise source.
+std::vector<double> baseline_noise(const num::RealMatrix& g,
+                                   const num::RealMatrix& cap,
+                                   const sim::MnaLayout& layout,
+                                   const std::vector<sim::NoiseSource>& sources,
+                                   std::size_t out,
+                                   const std::vector<double>& freqs,
+                                   bool* ok) {
+  std::vector<double> psd(freqs.size(), 0.0);
+  *ok = true;
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    const auto lu = dense_lu(g, cap, freqs[i]);
+    if (lu.singular) {
+      *ok = false;
+      return psd;
+    }
+    for (const sim::NoiseSource& s : sources) {
+      std::vector<Cplx> x(g.rows(), Cplx{});
+      const int ia = layout.node_index(s.a);
+      const int ib = layout.node_index(s.b);
+      if (ia >= 0) x[static_cast<std::size_t>(ia)] -= 1.0;
+      if (ib >= 0) x[static_cast<std::size_t>(ib)] += 1.0;
+      num::lu_solve_in_place(lu, &x);
+      psd[i] += std::norm(x[out]) * s.psd(freqs[i]);
+    }
+  }
+  return psd;
 }
 
 int emit_json(const char* path) {
@@ -283,7 +327,7 @@ int emit_json(const char* path) {
     }
   });
 
-  // ---- AC sweep: baseline vs workspace, plus jobs invariance --------------
+  // ---- AC sweep: dense LU baseline vs kernel, plus jobs invariance -------
   num::RealMatrix g, cap;
   sim::build_small_signal_matrices(f.circuit, sys.layout(), f.op, &g, &cap);
   const std::vector<Cplx> rhs = ac_excitation(f.circuit, sys.layout());
@@ -292,15 +336,28 @@ int emit_json(const char* path) {
   const auto ac_base_ref = baseline_ac(g, cap, rhs, freqs, &base_ok);
   const sim::AcResult ac_ws_ref =
       sim::ac_analysis(f.circuit, f.t, f.op, freqs, 1);
-  bool ac_equal = base_ok && ac_ws_ref.ok &&
-                  ac_base_ref == ac_ws_ref.solutions;
+  // Normwise relative error per point, worst over the sweep.
+  double ac_baseline_max_rel = 1.0;
+  if (base_ok && ac_ws_ref.ok) {
+    ac_baseline_max_rel = 0.0;
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+      double err = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        err = std::max(err, std::abs(ac_ws_ref.solutions[i][k] -
+                                     ac_base_ref[i][k]));
+      }
+      ac_baseline_max_rel = std::max(
+          ac_baseline_max_rel, err / num::max_abs(ac_base_ref[i]));
+    }
+  }
   bool ac_jobs_invariant = true;
   for (const std::size_t jobs : {std::size_t{2}, std::size_t{4}}) {
     const sim::AcResult r =
         sim::ac_analysis(f.circuit, f.t, f.op, freqs, jobs);
     ac_jobs_invariant &= r.ok && r.solutions == ac_ws_ref.solutions;
   }
-  deterministic &= ac_equal && ac_jobs_invariant;
+  deterministic &= ac_jobs_invariant;
+  const bool accurate_ac = ac_baseline_max_rel <= 1e-6;
 
   const int ac_repeats = 50;
   const double ac_base_s = oasys::bench::time_best_of(7, [&] {
@@ -313,6 +370,44 @@ int emit_json(const char* path) {
   const double ac_ws_s = oasys::bench::time_best_of(7, [&] {
     for (int i = 0; i < ac_repeats; ++i) {
       sim::AcResult r = sim::ac_analysis(f.circuit, f.t, f.op, freqs, 1);
+      benchmark::DoNotOptimize(r);
+    }
+  });
+
+  // ---- Noise: one LU solve per source vs one adjoint row per point ------
+  const auto noise_freqs = num::logspace(1e3, 1e7, 25);
+  const std::vector<sim::NoiseSource> sources =
+      sim::noise_sources(f.circuit, f.t, f.op);
+  const auto out_index =
+      static_cast<std::size_t>(sys.layout().node_index(f.out));
+  const std::vector<double> noise_base_ref = baseline_noise(
+      g, cap, sys.layout(), sources, out_index, noise_freqs, &base_ok);
+  const sim::NoiseResult noise_ref =
+      sim::noise_analysis(f.circuit, f.t, f.op, f.out, noise_freqs);
+  double noise_max_rel = 1.0;
+  if (base_ok && noise_ref.ok) {
+    noise_max_rel = 0.0;
+    for (std::size_t i = 0; i < noise_freqs.size(); ++i) {
+      noise_max_rel = std::max(
+          noise_max_rel, std::abs(noise_ref.output_psd[i] - noise_base_ref[i]) /
+                             noise_base_ref[i]);
+    }
+  }
+  const bool accurate_noise = noise_max_rel <= 1e-6;
+
+  const int noise_repeats = 50;
+  const double noise_base_s = oasys::bench::time_best_of(7, [&] {
+    bool ok = false;
+    for (int i = 0; i < noise_repeats; ++i) {
+      auto psd = baseline_noise(g, cap, sys.layout(), sources, out_index,
+                                noise_freqs, &ok);
+      benchmark::DoNotOptimize(psd);
+    }
+  });
+  const double noise_kernel_s = oasys::bench::time_best_of(7, [&] {
+    for (int i = 0; i < noise_repeats; ++i) {
+      sim::NoiseResult r =
+          sim::noise_analysis(f.circuit, f.t, f.op, f.out, noise_freqs);
       benchmark::DoNotOptimize(r);
     }
   });
@@ -489,9 +584,17 @@ int emit_json(const char* path) {
   std::fprintf(out,
                " \"ac_sweep\": {\"points\": %zu, \"repeats\": %d, "
                "\"baseline_seconds\": %.6f, \"workspace_seconds\": %.6f, "
-               "\"speedup\": %.3f},\n",
+               "\"speedup\": %.3f, \"baseline_max_rel\": %.3e},\n",
                freqs.size(), ac_repeats, ac_base_s, ac_ws_s,
-               ac_base_s / ac_ws_s);
+               ac_base_s / ac_ws_s, ac_baseline_max_rel);
+  std::fprintf(out,
+               " \"noise\": {\"points\": %zu, \"sources\": %zu, "
+               "\"repeats\": %d, \"baseline_seconds\": %.6f, "
+               "\"kernel_seconds\": %.6f, \"speedup\": %.3f, "
+               "\"baseline_max_rel\": %.3e},\n",
+               noise_freqs.size(), sources.size(), noise_repeats,
+               noise_base_s, noise_kernel_s, noise_base_s / noise_kernel_s,
+               noise_max_rel);
   std::fprintf(out,
                " \"transient\": {\"steps\": %zu, \"seconds\": %.6f},\n",
                tr1.time.size() - 1, tran_s);
@@ -534,10 +637,10 @@ int emit_json(const char* path) {
                std::abs(fo_slew - fo_ref_slew) / fo_ref_slew);
   std::fprintf(out,
                " \"determinism\": {\"dc_bitwise_equal\": %s, "
-               "\"ac_bitwise_equal\": %s, \"ac_jobs_invariant\": %s, "
+               "\"ac_baseline_max_rel\": %.3e, \"ac_jobs_invariant\": %s, "
                "\"tran_repeat_equal\": %s, "
                "\"adaptive_repeat_equal\": %s},\n",
-               dc_equal ? "true" : "false", ac_equal ? "true" : "false",
+               dc_equal ? "true" : "false", ac_baseline_max_rel,
                ac_jobs_invariant ? "true" : "false",
                tran_equal ? "true" : "false",
                adaptive_repeat_equal ? "true" : "false");
@@ -548,10 +651,18 @@ int emit_json(const char* path) {
     std::fprintf(stderr, "FAIL: determinism self-check failed\n");
     return 1;
   }
+  if (!accurate_ac || !accurate_noise) {
+    std::fprintf(stderr,
+                 "FAIL: kernel vs LU baseline: ac %.3e, noise %.3e "
+                 "(bound 1e-6)\n",
+                 ac_baseline_max_rel, noise_max_rel);
+    return 1;
+  }
   std::printf(
-      "wrote %s (dc speedup %.2fx, ac speedup %.2fx, "
+      "wrote %s (dc speedup %.2fx, ac speedup %.2fx, noise speedup %.2fx, "
       "adaptive tran %.1fx fewer steps)\n",
-      path, dc_base_s / dc_ws_s, ac_base_s / ac_ws_s, step_reduction);
+      path, dc_base_s / dc_ws_s, ac_base_s / ac_ws_s,
+      noise_base_s / noise_kernel_s, step_reduction);
   return 0;
 }
 

@@ -1,8 +1,10 @@
 // Dense LU factorization with partial pivoting and linear solves.
 //
-// This is the single linear-algebra kernel behind every circuit analysis:
-// Newton iterations (DC, transient) factor a real Jacobian; AC analysis
-// factors a complex MNA matrix per frequency point.
+// This is the linear-algebra kernel behind the Newton iterations (DC,
+// transient), which factor a real Jacobian.  AC and noise solve a reduced
+// pencil instead (sim::AcKernel in spice/ac.h); the complex instantiation
+// stays as the dense reference those solves are checked and timed
+// against.
 //
 // Two API levels:
 //  * in-place   — lu_factor_in_place / lu_solve_in_place reuse the caller's

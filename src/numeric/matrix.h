@@ -2,7 +2,8 @@
 //
 // Circuit matrices in OASYS are small (tens of unknowns), so dense storage
 // with partial-pivot LU is both simpler and faster than sparse machinery.
-// Used with T = double (DC, transient) and T = std::complex<double> (AC).
+// Used with T = double (DC, transient, the AC kernel's reduced pencil) and
+// T = std::complex<double> (the dense AC reference).
 #pragma once
 
 #include <complex>

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "numeric/linear.h"
-#include "spice/small_signal.h"
+#include "obs/span.h"
 #include "util/units.h"
 
 namespace oasys::sim {
@@ -18,22 +17,9 @@ double NoiseResult::integrated_rms() const {
   return std::sqrt(total);
 }
 
-namespace {
-
-// One noise source: a current source between two nodes with a
-// frequency-dependent PSD [A^2/Hz].
-struct NoiseSource {
-  std::string element;
-  std::string kind;
-  ckt::NodeId a = ckt::kGround;  // current injected a -> b
-  ckt::NodeId b = ckt::kGround;
-  double white_psd = 0.0;    // frequency-independent part [A^2/Hz]
-  double flicker_num = 0.0;  // flicker numerator: psd = flicker_num / f
-};
-
-std::vector<NoiseSource> collect_sources(const ckt::Circuit& c,
-                                         const tech::Technology& t,
-                                         const OpResult& op) {
+std::vector<NoiseSource> noise_sources(const ckt::Circuit& c,
+                                       const tech::Technology& t,
+                                       const OpResult& op) {
   std::vector<NoiseSource> sources;
   const double four_kt = 4.0 * util::kBoltzmann * util::kRoomTempK;
 
@@ -78,74 +64,50 @@ std::vector<NoiseSource> collect_sources(const ckt::Circuit& c,
   return sources;
 }
 
-}  // namespace
+namespace {
 
-NoiseResult noise_analysis(const ckt::Circuit& c, const tech::Technology& t,
-                           const OpResult& op, ckt::NodeId output,
-                           const std::vector<double>& freqs) {
+// The analysis behind both noise_analysis overloads.
+NoiseResult run_noise(const AcKernel& kernel, const ckt::Circuit& c,
+                      const tech::Technology& t, const OpResult& op,
+                      ckt::NodeId output, const std::vector<double>& freqs) {
   NoiseResult result;
-  if (!op.converged) {
-    result.error = "operating point did not converge";
-    return result;
-  }
-  const MnaLayout layout(c);
-  const std::size_t n = layout.size();
-  if (op.devices.size() != c.mosfets().size() || op.solution.size() != n) {
-    result.error = "operating point does not match circuit";
-    return result;
-  }
+  const MnaLayout& layout = kernel.layout();
   const int iout = layout.node_index(output);
   if (iout < 0) {
     result.error = "noise output node must not be ground";
     return result;
   }
-
-  using Cplx = std::complex<double>;
-  num::RealMatrix g;
-  num::RealMatrix cap;
-  build_small_signal_matrices(c, layout, op, &g, &cap);
-  const std::vector<NoiseSource> sources = collect_sources(c, t, op);
+  const std::vector<NoiseSource> sources = noise_sources(c, t, op);
 
   result.freqs = freqs;
   result.output_psd.assign(freqs.size(), 0.0);
   std::vector<double> last_contrib(sources.size(), 0.0);
 
-  // Flat G/C views plus one reused matrix / factorization / solve buffer
-  // across the whole frequency loop (one factorization, many injections).
-  const double* g_flat = g.data();
-  const double* cap_flat = cap.data();
-  num::ComplexMatrix y(n, n);
-  num::LuFactors<Cplx> lu;
-  std::vector<Cplx> rhs(n);
-  std::vector<Cplx> x(n);
+  // One adjoint solve per frequency gives the output's transfer from
+  // every unknown: a unit current a -> b (leaves a, enters b) reaches the
+  // output as u[b] - u[a].
+  using Cplx = std::complex<double>;
+  AcPointScratch ws;
+  std::vector<Cplx> u;
+  auto at = [&u, &layout](ckt::NodeId node) {
+    const int i = layout.node_index(node);
+    return i >= 0 ? u[static_cast<std::size_t>(i)] : Cplx{};
+  };
   for (std::size_t fi = 0; fi < freqs.size(); ++fi) {
     const double f = freqs[fi];
     if (!(f > 0.0)) {
       result.error = "noise frequency must be positive";
       return result;
     }
-    const double w = util::kTwoPi * f;
-    if (y.rows() != n || y.cols() != n) y = num::ComplexMatrix(n, n);
-    fill_complex_mna(y.data(), g_flat, cap_flat, w, n * n);
-    num::lu_factor_in_place(&y, &lu);
-    if (lu.singular) {
+    if (!kernel.transfer_row(f, static_cast<std::size_t>(iout), &ws, &u)) {
       result.error = "singular noise matrix";
       return result;
     }
     double psd = 0.0;
     for (std::size_t si = 0; si < sources.size(); ++si) {
       const NoiseSource& s = sources[si];
-      // Unit current injection a -> b (leaves a, enters b).
-      std::fill(rhs.begin(), rhs.end(), Cplx{});
-      const int ia = layout.node_index(s.a);
-      const int ib = layout.node_index(s.b);
-      if (ia >= 0) rhs[static_cast<std::size_t>(ia)] -= 1.0;
-      if (ib >= 0) rhs[static_cast<std::size_t>(ib)] += 1.0;
-      x = rhs;
-      num::lu_solve_in_place(lu, &x);
-      const double z2 = std::norm(x[static_cast<std::size_t>(iout)]);
-      const double source_psd = s.white_psd + s.flicker_num / f;
-      const double contrib = z2 * source_psd;
+      const double z2 = std::norm(at(s.b) - at(s.a));
+      const double contrib = z2 * s.psd(f);
       psd += contrib;
       last_contrib[si] = contrib;
     }
@@ -166,6 +128,29 @@ NoiseResult noise_analysis(const ckt::Circuit& c, const tech::Technology& t,
   }
   result.ok = true;
   return result;
+}
+
+}  // namespace
+
+NoiseResult noise_analysis(const ckt::Circuit& c, const tech::Technology& t,
+                           const OpResult& op, ckt::NodeId output,
+                           const std::vector<double>& freqs) {
+  OBS_SPAN("sim/noise_analysis");
+  NoiseResult result;
+  AcKernel kernel;
+  if (const char* error = kernel.assemble(c, op)) {
+    result.error = error;
+    return result;
+  }
+  return run_noise(kernel, c, t, op, output, freqs);
+}
+
+NoiseResult noise_analysis(const AcKernel& kernel, const ckt::Circuit& c,
+                           const tech::Technology& t, const OpResult& op,
+                           ckt::NodeId output,
+                           const std::vector<double>& freqs) {
+  OBS_SPAN("sim/noise_analysis");
+  return run_noise(kernel, c, t, op, output, freqs);
 }
 
 }  // namespace oasys::sim

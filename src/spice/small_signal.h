@@ -1,11 +1,7 @@
-// Shared small-signal MNA assembly for AC and noise analyses: the real
+// Small-signal MNA assembly for the AC kernel (spice/ac.h): the real
 // conductance matrix G (device transconductances, resistors, source
-// branches) and the capacitance matrix C, combined per frequency as
-// Y = G + jwC.
+// branches) and the capacitance matrix C of the pencil Y = G + jwC.
 #pragma once
-
-#include <complex>
-#include <cstddef>
 
 #include "numeric/matrix.h"
 #include "spice/dc.h"
@@ -21,15 +17,5 @@ namespace oasys::sim {
 void build_small_signal_matrices(const ckt::Circuit& c,
                                  const MnaLayout& layout, const OpResult& op,
                                  num::RealMatrix* g, num::RealMatrix* cap);
-
-// Per-point lane fill shared by the AC and noise loops: y[k] = g[k] +
-// jw*cap[k] over the n^2 flat row-major slots.  Unit-stride, no aliasing
-// between the three arrays — the loop auto-vectorizes under OASYS_SIMD.
-inline void fill_complex_mna(std::complex<double>* y, const double* g,
-                             const double* cap, double w, std::size_t n2) {
-  for (std::size_t k = 0; k < n2; ++k) {
-    y[k] = std::complex<double>(g[k], w * cap[k]);
-  }
-}
 
 }  // namespace oasys::sim

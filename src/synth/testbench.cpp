@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
+#include <string>
 
 #include "exec/executor.h"
 #include "numeric/interpolate.h"
@@ -222,9 +224,15 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
   }
 
   // --- differential AC: gain, GBW, PM, Bode -----------------------------------
+  // One reduced pencil at the null serves the sweep, CMRR, PSRR and noise.
+  sim::AcKernel kernel;
+  if (const char* error = kernel.assemble(bench.circuit, op)) {
+    m.error = std::string("AC analysis failed: ") + error;
+    return m;
+  }
   const double fmin = open_loop_fmin(design, opts);
-  const sim::AcResult ac = sim::ac_analysis(
-      bench.circuit, t, op, open_loop_freqs(design, opts), opts.jobs);
+  const sim::AcResult ac =
+      sim::ac_analysis(kernel, open_loop_freqs(design, opts), opts.jobs);
   if (!ac.ok) {
     m.error = "AC analysis failed: " + ac.error;
     return m;
@@ -240,7 +248,7 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
     const double f_lo = std::max(1e3, m.perf.gbw * 1e-3);
     const double f_hi = m.perf.gbw;
     m.noise = sim::noise_analysis(
-        bench.circuit, t, op, bench.nodes.out,
+        kernel, bench.circuit, t, op, bench.nodes.out,
         num::logspace(f_lo, f_hi, opts.noise_points));
     if (m.noise.ok) {
       m.input_noise_density.resize(m.noise.freqs.size());
@@ -257,38 +265,20 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
     }
   }
 
-  // --- CMRR: drive both inputs in phase ---------------------------------------
+  // --- CMRR and PSRR: unit sources in phase on both inputs, and on VDD -------
+  // One adjoint row at fmin reads the output's response to any excitation:
+  // a unit AC voltage on source k adds u[branch k] to the output phasor.
   {
-    bench.circuit.vsource(bench.vip_idx).wave =
-        bench.circuit.vsource(bench.vip_idx).wave.with_ac(1.0, 0.0);
-    bench.circuit.vsource(bench.vin_idx).wave =
-        bench.circuit.vsource(bench.vin_idx).wave.with_ac(1.0, 0.0);
-    const sim::AcResult accm =
-        sim::ac_analysis(bench.circuit, t, op, {fmin});
-    if (accm.ok) {
-      const double acm =
-          std::abs(accm.voltage(layout, 0, bench.nodes.out));
-      if (acm > 0.0) {
-        m.perf.cmrr_db = m.perf.gain_db - util::db20(acm);
-      }
-    }
-  }
-  // --- PSRR: inject on VDD ------------------------------------------------------
-  {
-    bench.circuit.vsource(bench.vip_idx).wave =
-        bench.circuit.vsource(bench.vip_idx).wave.with_ac(0.0);
-    bench.circuit.vsource(bench.vin_idx).wave =
-        bench.circuit.vsource(bench.vin_idx).wave.with_ac(0.0);
-    bench.circuit.vsource(bench.vdd_idx).wave =
-        bench.circuit.vsource(bench.vdd_idx).wave.with_ac(1.0, 0.0);
-    const sim::AcResult acps =
-        sim::ac_analysis(bench.circuit, t, op, {fmin});
-    if (acps.ok) {
-      const double avdd =
-          std::abs(acps.voltage(layout, 0, bench.nodes.out));
-      if (avdd > 0.0) {
-        m.perf.psrr_db = m.perf.gain_db - util::db20(avdd);
-      }
+    std::vector<std::complex<double>> u;
+    sim::AcPointScratch ws;
+    const auto out = static_cast<std::size_t>(
+        layout.node_index(bench.nodes.out));
+    if (kernel.transfer_row(fmin, out, &ws, &u)) {
+      const double acm = std::abs(u[layout.branch_index(bench.vip_idx)] +
+                                  u[layout.branch_index(bench.vin_idx)]);
+      if (acm > 0.0) m.perf.cmrr_db = m.perf.gain_db - util::db20(acm);
+      const double avdd = std::abs(u[layout.branch_index(bench.vdd_idx)]);
+      if (avdd > 0.0) m.perf.psrr_db = m.perf.gain_db - util::db20(avdd);
     }
   }
 

@@ -8,7 +8,9 @@
 //    output at mid-supply (open loop, DC; see measure_offset);
 //  * open-loop AC response at the offset-nulled bias — DC gain, unity-gain
 //    frequency (GBW), phase margin, -3 dB bandwidth, full Bode series;
-//  * CMRR and PSRR — common-mode and supply-injection AC runs;
+//  * CMRR and PSRR — the output's response to unit sources in phase on
+//    both inputs and on VDD, read from one adjoint row at the lowest grid
+//    frequency (sim::AcKernel::transfer_row);
 //  * output swing — DC solutions at large differential overdrive;
 //  * slew rate — unity-gain follower driven with a voltage step;
 //  * ICMR — unity-gain follower DC sweep, tracking-error window;

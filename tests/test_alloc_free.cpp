@@ -3,8 +3,8 @@
 // Replaces global operator new/delete with counting versions, runs each
 // kernel loop twice, and asserts the second pass performs zero heap
 // allocations: the first pass grows the workspace buffers, after which the
-// Newton iteration, the per-frequency AC kernel and the open-loop AC walk
-// must be steady-state allocation-free.  Everything inside a counted region is plain arithmetic
+// Newton iteration, the per-frequency AC kernel, its adjoint row and the
+// open-loop AC walk must be steady-state allocation-free.  Everything inside a counted region is plain arithmetic
 // on preallocated storage — no gtest assertions, no string building —
 // except the bordered-solve check, which compares whole warm
 // dc_operating_point calls that differ only in their iteration count.
@@ -269,6 +269,39 @@ TEST(AllocFree, AcSweepKernelLoopIsAllocationFreeWhenWarm) {
   ASSERT_FALSE(failed);
   EXPECT_EQ(allocs, 0u)
       << "warm AC sweep kernel loop performed heap allocations";
+}
+
+TEST(AllocFree, TransferRowLoopIsAllocationFreeWhenWarm) {
+  const tech::Technology t = tech::five_micron();
+  const Circuit c = amp_circuit(t);
+  const OpResult op = dc_operating_point(c, t);
+  ASSERT_TRUE(op.converged);
+  const std::vector<double> freqs = num::logspace(1e3, 1e7, 25);
+  const auto out = static_cast<std::size_t>(
+      MnaLayout(c).node_index(*c.find_node("out")));
+
+  // The noise loop's shape: one adjoint row per frequency, reusing one
+  // point scratch and one row buffer.
+  AcKernel kernel;
+  AcPointScratch ws;
+  std::vector<Cplx> u;
+  double sink = 0.0;
+  bool failed = false;
+  auto noise_pass = [&] {
+    failed = kernel.assemble(c, op) != nullptr;
+    for (std::size_t i = 0; i < freqs.size() && !failed; ++i) {
+      failed = !kernel.transfer_row(freqs[i], out, &ws, &u);
+      if (!failed) sink += std::norm(u[out]);
+    }
+  };
+
+  noise_pass();  // first pass sizes the kernel, scratch and row buffer
+  ASSERT_FALSE(failed);
+  const std::size_t allocs = count_allocations(noise_pass);
+  ASSERT_FALSE(failed);
+  EXPECT_GT(sink, 0.0);
+  EXPECT_EQ(allocs, 0u)
+      << "warm transfer_row loop performed heap allocations";
 }
 
 TEST(AllocFree, OpenLoopWalkIsAllocationFreeOnWarmScratch) {
