@@ -7,15 +7,17 @@
 //  * --json <path> — the perf-trajectory record: measures the baseline
 //    kernels against the production paths in the same binary — the
 //    pre-workspace Newton solve (by-value LU, per-iteration heap
-//    allocation), dense per-point complex LU for the AC sweep and one LU
-//    solve per source for noise — and fixed vs adaptive transient stepping.
-//    Self-checks that the DC pairing is bit-for-bit identical, that the AC
-//    sweep and the noise spectrum agree with their LU baselines within
-//    1e-6 relative (the AC kernel solves a reduced pencil, so it agrees to
-//    rounding, not bit for bit), that the AC sweep is identical across
-//    --jobs 1/2/4, and that repeated runs are identical, then writes the
-//    JSON record.  Exit is non-zero only when a self-check fails; timings
-//    are informational.
+//    allocation), dense per-point complex LU for the AC sweep, one LU
+//    solve per source for noise and dense partial-pivot LU for the Newton
+//    Jacobians — and fixed vs adaptive transient stepping.  Self-checks
+//    that the DC pairing is bit-for-bit identical, that the AC sweep and
+//    the noise spectrum agree with their LU baselines within 1e-6 relative
+//    (the AC kernel solves a reduced pencil, so it agrees to rounding, not
+//    bit for bit), that the planned sparse LU solves paper case C's DC and
+//    transient Jacobians within 1e-10 of dense LU, that the AC sweep is
+//    identical across --jobs 1/2/4, and that repeated runs are identical,
+//    then writes the JSON record.  Exit is non-zero only when a
+//    self-check fails; timings are informational.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,6 +28,7 @@
 
 #include "numeric/interpolate.h"
 #include "numeric/linear.h"
+#include "numeric/sparse_lu.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "spice/ac.h"
@@ -294,6 +297,58 @@ std::vector<double> baseline_noise(const num::RealMatrix& g,
   return psd;
 }
 
+// One Newton Jacobian and its structural pattern, for the LU timing row.
+struct NewtonJacobian {
+  const char* name;
+  num::SparsePattern pattern;
+  num::RealMatrix jac;
+  std::vector<double> rhs;  // alternating signs, every entry nonzero
+};
+
+// Paper case C on the 5 um process, the largest of the three: its DC
+// Jacobian (the open-loop bench at the offset null) and its transient
+// Jacobian (the slew follower at its operating point, J + 2C/dt, the
+// trapezoidal companion of the first step).
+std::vector<NewtonJacobian> newton_jacobians(const tech::Technology& t) {
+  const synth::SynthesisResult r =
+      synth::synthesize_opamp(t, synth::spec_case_c());
+  const synth::OpAmpDesign& d = *r.best();
+  std::vector<NewtonJacobian> out;
+  const auto jacobian_at = [&](const ckt::Circuit& c,
+                               const std::vector<double>& x, bool caps,
+                               const char* name) {
+    const sim::NonlinearSystem sys(c, t);
+    NewtonJacobian nj{name, {}, {}, {}};
+    sys.jacobian_pattern(caps, &nj.pattern);
+    sys.eval(x, {}, &nj.jac, nullptr);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      nj.rhs.push_back(i % 2 == 0 ? 1.0 : -1.0);
+    }
+    return nj;
+  };
+  synth::OpenLoopBench bench(d, t);
+  const synth::OffsetNull null = synth::measure_offset(&bench, t);
+  if (null.ok) {
+    out.push_back(jacobian_at(bench.circuit, null.op.solution, false, "dc"));
+  }
+  const synth::SlewBench sb = synth::slew_bench(d, t, 0.0);
+  const sim::OpResult op = sim::dc_operating_point(sb.circuit, t);
+  if (op.converged) {
+    NewtonJacobian nj = jacobian_at(sb.circuit, op.solution, true, "tran");
+    num::RealMatrix g, cap;
+    sim::build_small_signal_matrices(sb.circuit, sim::MnaLayout(sb.circuit),
+                                     op, &g, &cap);
+    const double a = 2.0 / sb.tran.dt;
+    for (std::size_t i = 0; i < cap.rows(); ++i) {
+      for (std::size_t j = 0; j < cap.cols(); ++j) {
+        if (cap(i, j) != 0.0) nj.jac(i, j) += cap(i, j) * a;
+      }
+    }
+    out.push_back(std::move(nj));
+  }
+  return out;
+}
+
 int emit_json(const char* path) {
   Fixture& f = fixture();
   sim::NonlinearSystem sys(f.circuit, f.t);
@@ -411,6 +466,74 @@ int emit_json(const char* path) {
       benchmark::DoNotOptimize(r);
     }
   });
+
+  // ---- Newton LU: dense partial pivoting vs the planned sparse refactor ---
+  // What every DC and transient Newton iteration pays for its factor and
+  // solve.  Both sides copy the Jacobian into their factor buffer first,
+  // as the product refills it by eval, and reuse all storage.
+  struct NewtonLuRow {
+    const char* name;
+    std::size_t n, nnz, plan_updates;
+    double dense_s, planned_s, max_rel;
+  };
+  std::vector<NewtonLuRow> lu_rows;
+  double lu_max_rel = 1.0;
+  const int lu_repeats = 20000;
+  {
+    const std::vector<NewtonJacobian> jacs = newton_jacobians(f.t);
+    if (jacs.size() == 2) lu_max_rel = 0.0;
+    for (const NewtonJacobian& nj : jacs) {
+      num::RealMatrix work = nj.jac;
+      num::LuFactors<double> dense;
+      num::lu_factor_in_place(&work, &dense);
+      num::SparseLu sparse;
+      work = nj.jac;
+      if (dense.singular || !sparse.analyse(nj.pattern, &work)) {
+        lu_max_rel = 1.0;  // fails the self-check below
+        continue;
+      }
+      std::vector<double> x_dense = nj.rhs;
+      num::lu_solve_in_place(dense, &x_dense);
+      std::vector<double> x_sparse = nj.rhs;
+      sparse.solve(&x_sparse);
+      double err = 0.0;
+      for (std::size_t i = 0; i < x_dense.size(); ++i) {
+        err = std::max(err, std::abs(x_sparse[i] - x_dense[i]));
+      }
+      const double max_rel = err / num::max_abs(x_dense);
+      lu_max_rel = std::max(lu_max_rel, max_rel);
+
+      // Factoring adopts the input buffer by swap and hands back the old
+      // factor buffer: size `work` once, and the two then rotate.
+      const std::size_t entries = nj.jac.rows() * nj.jac.cols();
+      std::vector<double> x;
+      work = nj.jac;
+      const double dense_s = oasys::bench::time_best_of(7, [&] {
+        for (int i = 0; i < lu_repeats; ++i) {
+          std::copy(nj.jac.data(), nj.jac.data() + entries, work.data());
+          num::lu_factor_in_place(&work, &dense);
+          x = nj.rhs;
+          num::lu_solve_in_place(dense, &x);
+          benchmark::DoNotOptimize(x.data());
+        }
+      });
+      work = nj.jac;
+      const double planned_s = oasys::bench::time_best_of(7, [&] {
+        for (int i = 0; i < lu_repeats; ++i) {
+          std::copy(nj.jac.data(), nj.jac.data() + entries, work.data());
+          if (sparse.refactor(&work)) {
+            x = nj.rhs;
+            sparse.solve(&x);
+          }
+          benchmark::DoNotOptimize(x.data());
+        }
+      });
+      lu_rows.push_back({nj.name, nj.jac.rows(), nj.pattern.nnz(),
+                         sparse.plan().update_count(), dense_s, planned_s,
+                         max_rel});
+    }
+  }
+  const bool accurate_lu = lu_max_rel <= 1e-10;
 
   // ---- Transient: workspace path wall time (trajectory data) --------------
   sim::TranOptions to;
@@ -596,6 +719,22 @@ int emit_json(const char* path) {
                noise_base_s, noise_kernel_s, noise_base_s / noise_kernel_s,
                noise_max_rel);
   std::fprintf(out,
+               " \"newton_lu\": {\"spec\": \"C\", \"repeats\": %d, "
+               "\"baseline_max_rel\": %.3e, \"jacobians\": [",
+               lu_repeats, lu_max_rel);
+  for (std::size_t i = 0; i < lu_rows.size(); ++i) {
+    const NewtonLuRow& row = lu_rows[i];
+    std::fprintf(out,
+                 "%s\n  {\"name\": \"%s\", \"n\": %zu, \"nnz\": %zu, "
+                 "\"plan_updates\": %zu, \"dense_seconds\": %.6f, "
+                 "\"planned_seconds\": %.6f, \"speedup\": %.3f, "
+                 "\"baseline_max_rel\": %.3e}",
+                 i == 0 ? "" : ",", row.name, row.n, row.nnz,
+                 row.plan_updates, row.dense_s, row.planned_s,
+                 row.dense_s / row.planned_s, row.max_rel);
+  }
+  std::fprintf(out, "]},\n");
+  std::fprintf(out,
                " \"transient\": {\"steps\": %zu, \"seconds\": %.6f},\n",
                tr1.time.size() - 1, tran_s);
   std::fprintf(out,
@@ -658,11 +797,17 @@ int emit_json(const char* path) {
                  ac_baseline_max_rel, noise_max_rel);
     return 1;
   }
+  if (!accurate_lu) {
+    std::fprintf(stderr,
+                 "FAIL: planned sparse LU vs dense LU: %.3e (bound 1e-10)\n",
+                 lu_max_rel);
+    return 1;
+  }
   std::printf(
       "wrote %s (dc speedup %.2fx, ac speedup %.2fx, noise speedup %.2fx, "
-      "adaptive tran %.1fx fewer steps)\n",
+      "newton lu %.3e from dense, adaptive tran %.1fx fewer steps)\n",
       path, dc_base_s / dc_ws_s, ac_base_s / ac_ws_s,
-      noise_base_s / noise_kernel_s, step_reduction);
+      noise_base_s / noise_kernel_s, lu_max_rel, step_reduction);
   return 0;
 }
 

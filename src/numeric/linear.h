@@ -1,10 +1,13 @@
 // Dense LU factorization with partial pivoting and linear solves.
 //
-// This is the linear-algebra kernel behind the Newton iterations (DC,
-// transient), which factor a real Jacobian.  AC and noise solve a reduced
-// pencil instead (sim::AcKernel in spice/ac.h); the complex instantiation
-// stays as the dense reference those solves are checked and timed
-// against.
+// The reference the simulator's solvers are checked and timed against.
+// DC and transient Newton factor their real Jacobians with num::SparseLu
+// (numeric/sparse_lu.h): a pivot plan made on the values of an analysis
+// call's first Jacobian, replayed by every later iteration of that call
+// and handed on only explicitly, so results never depend on what a
+// workspace solved before or on --jobs.  AC and noise solve a reduced
+// pencil (sim::AcKernel in spice/ac.h).  The real instantiation stays as
+// the reference for the sparse LU, the complex one for the AC kernel.
 //
 // Two API levels:
 //  * in-place   — lu_factor_in_place / lu_solve_in_place reuse the caller's

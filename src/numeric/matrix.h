@@ -1,8 +1,12 @@
 // Dense row-major matrix, templated over the element type.
 //
-// Circuit matrices in OASYS are small (tens of unknowns), so dense storage
-// with partial-pivot LU is both simpler and faster than sparse machinery.
-// Used with T = double (DC, transient, the AC kernel's reduced pencil) and
+// Circuit matrices in OASYS are small (tens of unknowns), so they are
+// stored dense.  Storage is not elimination order, though: the Newton
+// Jacobians are factored by num::SparseLu (numeric/sparse_lu.h), which
+// touches only the pattern and its fill in a planned order and, on paper
+// case C (n = 22-24), refactors and solves 4.5-6.3x faster than dense
+// partial-pivot LU on the same buffer (BENCH_sim_perf.json, newton_lu).  Used with T = double (DC and
+// transient Jacobians, the AC kernel's reduced pencil) and
 // T = std::complex<double> (the dense AC reference).
 #pragma once
 

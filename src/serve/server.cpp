@@ -220,6 +220,11 @@ class ServerLoop {
   bool draining_ = false;
   double drain_start_ = 0.0;
   double start_time_ = 0.0;  // set when run() opens the loop
+  // Newton LU work the workers reported (their sim.lu.* counter deltas),
+  // summed since the loop opened; shown by `oasys stat`.
+  std::uint64_t lu_analyses_ = 0;
+  std::uint64_t lu_refactors_ = 0;
+  std::uint64_t lu_replans_ = 0;
   std::vector<Worker> workers_;
   std::map<std::uint64_t, Session> sessions_;
   std::uint64_t next_session_id_ = 1;
@@ -458,6 +463,11 @@ void ServerLoop::handle_worker_frame(std::size_t i,
       const service::ServiceStats stats = shard::get_service_stats(r);
       r.expect_end();
       wk.record.stats = stats;
+      for (const obs::MetricEntry& e : snap.entries) {
+        if (e.name == "sim.lu.analyses") lu_analyses_ += e.counter;
+        if (e.name == "sim.lu.refactors") lu_refactors_ += e.counter;
+        if (e.name == "sim.lu.replans") lu_replans_ += e.counter;
+      }
       if (Session* s = find_session(wk.cycles.front().session_id)) {
         s->snaps.push_back(std::move(snap));
         s->wstats.push_back(stats);
@@ -757,6 +767,9 @@ StatusReport ServerLoop::build_status_report() const {
   rep.respawns = st.respawns;
   rep.worker_timeouts = st.worker_timeouts;
   rep.worker_errors = st.worker_errors;
+  rep.lu_analyses = lu_analyses_;
+  rep.lu_refactors = lu_refactors_;
+  rep.lu_replans = lu_replans_;
   rep.workers.reserve(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const Worker& wk = workers_[i];

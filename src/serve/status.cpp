@@ -53,6 +53,9 @@ void put_status_report(shard::Writer& w, const StatusReport& s) {
   w.u64(s.respawns);
   w.u64(s.worker_timeouts);
   w.u64(s.worker_errors);
+  w.u64(s.lu_analyses);
+  w.u64(s.lu_refactors);
+  w.u64(s.lu_replans);
   w.u64(s.workers.size());
   for (const WorkerStatus& wk : s.workers) {
     w.u64(wk.shard);
@@ -82,6 +85,9 @@ StatusReport get_status_report(shard::Reader& r) {
   s.respawns = r.u64();
   s.worker_timeouts = r.u64();
   s.worker_errors = r.u64();
+  s.lu_analyses = r.u64();
+  s.lu_refactors = r.u64();
+  s.lu_replans = r.u64();
   const std::uint64_t n = r.u64();
   if (n > 1u << 20) {
     throw shard::WireError(util::format(
@@ -122,6 +128,9 @@ std::string status_json(const StatusReport& s) {
      << ", \"fleet\": {\"respawns\": " << s.respawns
      << ", \"worker_timeouts\": " << s.worker_timeouts
      << ", \"worker_errors\": " << s.worker_errors << "}"
+     << ", \"newton_lu\": {\"analyses\": " << s.lu_analyses
+     << ", \"refactors\": " << s.lu_refactors
+     << ", \"replans\": " << s.lu_replans << "}"
      << ", \"workers\": [";
   for (std::size_t i = 0; i < s.workers.size(); ++i) {
     const WorkerStatus& wk = s.workers[i];
@@ -161,6 +170,11 @@ std::string status_table(const StatusReport& s) {
                static_cast<unsigned long long>(s.worker_timeouts),
                static_cast<unsigned long long>(s.worker_errors),
                s.draining ? " · draining" : "");
+  os << format("newton lu: %llu plan(s), %llu refactor(s), %llu "
+               "re-plan(s)\n",
+               static_cast<unsigned long long>(s.lu_analyses),
+               static_cast<unsigned long long>(s.lu_refactors),
+               static_cast<unsigned long long>(s.lu_replans));
   util::Table table({"worker", "pid", "state", "cycles", "served",
                      "respawns", "backoff"});
   for (std::size_t c = 1; c <= 6; ++c) {

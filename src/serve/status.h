@@ -47,6 +47,12 @@ struct StatusReport {
   std::uint64_t respawns = 0;
   std::uint64_t worker_timeouts = 0;
   std::uint64_t worker_errors = 0;
+  // Newton LU work of every answered worker cycle since the daemon
+  // started: the sim.lu.* counters (plans made, refactors in a plan,
+  // re-plans after a failed pivot check), summed.
+  std::uint64_t lu_analyses = 0;
+  std::uint64_t lu_refactors = 0;
+  std::uint64_t lu_replans = 0;
   std::vector<WorkerStatus> workers;
 
   // hits / (hits + misses); 0 when the shared tier has seen no traffic.

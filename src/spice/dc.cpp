@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "numeric/linear.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -32,6 +31,20 @@ struct DcMetrics {
 
   static DcMetrics& get() {
     static DcMetrics m;
+    return m;
+  }
+};
+
+// Registry handles for the Newton LU (num::SparseLu), resolved once per
+// process.  Counts of work items, so deterministic and jobs-invariant.
+struct LuMetrics {
+  obs::Counter& analyses = obs::Registry::global().counter("sim.lu.analyses");
+  obs::Counter& refactors =
+      obs::Registry::global().counter("sim.lu.refactors");
+  obs::Counter& replans = obs::Registry::global().counter("sim.lu.replans");
+
+  static LuMetrics& get() {
+    static LuMetrics m;
     return m;
   }
 };
@@ -93,16 +106,14 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
     ++*iterations_used;
     metrics.iterations.add();
     eval_residual(&jac);
-
-    num::lu_factor_in_place(&jac, &ws->lu);
-    if (ws->lu.singular) {
+    if (!factor_jacobian(ws, [&] { eval_residual(&jac); })) {
       metrics.nonconverged.add();
       return false;
     }
     // Newton step: J dx = -f, solved in place in the RHS buffer.
     dx.resize(n);
     for (std::size_t i = 0; i < n; ++i) dx[i] = -f[i];
-    num::lu_solve_in_place(ws->lu, &dx);
+    ws->lu.solve(&dx);
 
     double dvid = 0.0;
     if (border != nullptr) {
@@ -110,7 +121,7 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
       b.assign(n, 0.0);
       b[vpos] = 0.5;
       b[vneg] = -0.5;
-      num::lu_solve_in_place(ws->lu, &b);
+      ws->lu.solve(&b);
       dvid = (border->target - (*x)[out] - dx[out]) / b[out];
       if (!std::isfinite(dvid)) {  // b_out == 0: out ignores vid
         metrics.nonconverged.add();
@@ -151,9 +162,24 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
 
 }  // namespace
 
+void count_lu_event(LuEvent event) {
+  LuMetrics& metrics = LuMetrics::get();
+  switch (event) {
+    case LuEvent::kAnalysis:
+      metrics.analyses.add();
+      break;
+    case LuEvent::kRefactor:
+      metrics.refactors.add();
+      break;
+    case LuEvent::kReplan:
+      metrics.replans.add();
+      break;
+  }
+}
+
 OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
                             const OpOptions& opts, SimWorkspace* workspace,
-                            OffsetBorder* border) {
+                            OffsetBorder* border, const num::LuPlan* plan) {
   DcMetrics& metrics = DcMetrics::get();
   metrics.op_calls.add();
   OBS_SPAN("sim/dc_operating_point");
@@ -166,6 +192,18 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
   // reused across different circuits, so the table is always rebuilt here
   // — a constant fill that allocates only when it grows.
   sys.build_device_table(&ws->devices);
+  // The LU plan starts from the caller's, or from none: never from what
+  // the workspace held after its last call.
+  sys.jacobian_pattern(/*with_caps=*/false, &ws->pattern);
+  if (plan != nullptr && plan->planned()) {
+    if (!(plan->pattern() == ws->pattern)) {
+      throw std::invalid_argument(
+          "dc_operating_point: LU plan made for another Jacobian pattern");
+    }
+    ws->lu.use_plan(*plan);
+  } else {
+    ws->lu.use_plan(num::LuPlan{});
+  }
 
   OpResult result;
   std::vector<double> x =

@@ -73,6 +73,15 @@ struct OffsetBorder {
 // sweeps run allocation-free in the kernel loop); results are bit-for-bit
 // identical with or without one.
 //
+// Every Newton iteration of the call factors J through one num::SparseLu
+// plan (see spice/workspace.h): `plan`, when given and planned, else one
+// made on the call's first Jacobian; a pivot that fails the threshold
+// re-plans for the rest of the call.  `plan` must come from a circuit with
+// the same Jacobian pattern (std::invalid_argument otherwise); the plan the
+// call ended with is left in workspace->lu.plan() for the caller to hand
+// on.  The results depend on the plan at rounding level, which is why it
+// is only ever handed on explicitly.
+//
 // With a `border`, each Newton iteration factors J once and solves it for
 // two right-hand sides (Keller's block elimination, no bordered matrix is
 // built), and only plain Newton is tried: the homotopies solve a different
@@ -82,7 +91,8 @@ struct OffsetBorder {
 OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
                             const OpOptions& opts = {},
                             SimWorkspace* workspace = nullptr,
-                            OffsetBorder* border = nullptr);
+                            OffsetBorder* border = nullptr,
+                            const num::LuPlan* plan = nullptr);
 
 // Total power delivered by the independent sources at the operating point
 // (positive = dissipated in the circuit).

@@ -1,6 +1,7 @@
 #include "spice/mna.h"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -133,6 +134,7 @@ void NonlinearSystem::eval(const std::vector<double>& x,
   } else if (jac != nullptr) {
     jac->fill(0.0);
   }
+  double* const jdata = jac != nullptr ? jac->data() : nullptr;
   if (residual != nullptr) residual->assign(n, 0.0);
   if (device_ops != nullptr) {
     device_ops->assign(circuit_->mosfets().size(), DeviceOp{});
@@ -144,9 +146,9 @@ void NonlinearSystem::eval(const std::vector<double>& x,
     }
   };
   auto add_j = [&](int row, int col, double v) {
-    if (row >= 0 && col >= 0 && jac != nullptr) {
-      (*jac)(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) +=
-          v;
+    if (row >= 0 && col >= 0 && jdata != nullptr) {
+      double* jrow = jdata + static_cast<std::size_t>(row) * n;
+      jrow[col] += v;
     }
   };
   auto source_value = [&](const ckt::Waveform& w) {
@@ -204,10 +206,10 @@ void NonlinearSystem::eval(const std::vector<double>& x,
     add_f(layout_.node_index(i.b), -value);
   }
 
-  DeviceTable local_table;
+  std::optional<DeviceTable> local_table;
   if (devices == nullptr) {
-    build_device_table(&local_table);
-    devices = &local_table;
+    build_device_table(&local_table.emplace());
+    devices = &*local_table;
   } else if (devices->size() != circuit_->mosfets().size()) {
     throw std::logic_error(
         "eval: device table was not built for this circuit (see "
@@ -306,6 +308,57 @@ void NonlinearSystem::eval(const std::vector<double>& x,
       op.di_dvb = di_dvb;
       fill_device_caps(t, m, vd, vg, vs, vb, &op);
     }
+  }
+}
+
+void NonlinearSystem::jacobian_pattern(bool with_caps,
+                                       num::SparsePattern* pattern) const {
+  pattern->reset(layout_.size());
+  auto add = [&](int row, int col) {
+    if (row >= 0 && col >= 0) {
+      pattern->add(static_cast<std::size_t>(row),
+                   static_cast<std::size_t>(col));
+    }
+  };
+  auto add_pair = [&](ckt::NodeId a, ckt::NodeId b) {
+    const int ia = layout_.node_index(a);
+    const int ib = layout_.node_index(b);
+    add(ia, ia);
+    add(ia, ib);
+    add(ib, ia);
+    add(ib, ib);
+  };
+  for (std::size_t i = 0; i < layout_.num_node_unknowns(); ++i) {
+    add(static_cast<int>(i), static_cast<int>(i));
+  }
+  for (const auto& r : circuit_->resistors()) add_pair(r.a, r.b);
+  for (std::size_t k = 0; k < circuit_->vsources().size(); ++k) {
+    const auto& v = circuit_->vsources()[k];
+    const int ip = layout_.node_index(v.pos);
+    const int in = layout_.node_index(v.neg);
+    const int ibr = static_cast<int>(layout_.branch_index(k));
+    add(ip, ibr);
+    add(in, ibr);
+    add(ibr, ip);
+    add(ibr, in);
+  }
+  for (const auto& m : circuit_->mosfets()) {
+    const int term[4] = {layout_.node_index(m.d), layout_.node_index(m.g),
+                         layout_.node_index(m.s), layout_.node_index(m.b)};
+    for (const int col : term) {
+      add(term[0], col);  // drain row
+      add(term[2], col);  // source row
+    }
+    if (with_caps) {
+      add_pair(m.g, m.s);
+      add_pair(m.g, m.d);
+      add_pair(m.g, m.b);
+      add_pair(m.d, m.b);
+      add_pair(m.s, m.b);
+    }
+  }
+  if (with_caps) {
+    for (const auto& c : circuit_->capacitors()) add_pair(c.a, c.b);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "mos/level1_batch.h"
 #include "netlist/circuit.h"
 #include "numeric/matrix.h"
+#include "numeric/sparse_lu.h"
 #include "tech/technology.h"
 
 namespace oasys::sim {
@@ -113,6 +114,14 @@ class NonlinearSystem {
   // every geometry — throws std::invalid_argument naming the device on
   // w <= 0, l <= 0, or m < 1.  Only allocates when the table grows.
   void build_device_table(DeviceTable* table) const;
+
+  // Structural pattern of the Jacobian eval stamps: every slot any bias can
+  // fill (a cut-off device whose gm is exactly 0 keeps its slots), plus
+  // every node diagonal (gmin).  With `with_caps`, also the slots of the
+  // transient's capacitance matrix C: explicit capacitors and every
+  // device's gate and junction capacitances.  A pure function of the
+  // circuit; allocation-free once `pattern` is sized.
+  void jacobian_pattern(bool with_caps, num::SparsePattern* pattern) const;
 
   // Lumped linear capacitance matrix contribution C (for transient): stamps
   // the circuit's explicit capacitors only.  Device capacitances are

@@ -29,16 +29,23 @@ DcSweepResult dc_sweep_vsource(ckt::Circuit& c, const tech::Technology& t,
   // the batch device path this includes the SoA device table: each point
   // rebuilds its constants in place (sizes never change mid-sweep), so the
   // whole sweep stays allocation-free after the first point.
+  // Each point hands the LU plan it ended with to the next, as it hands
+  // on its solution as the warm start: every point has the same Jacobian
+  // pattern, and neighbouring points rarely need a different pivot order
+  // (the first point's plan alone, made with the input pair cut off at a
+  // rail, fails the pivot check at most points of an ICMR sweep).
   SimWorkspace ws;
+  num::LuPlan plan;
   for (const double v : values) {
     c.vsource(*idx).wave = original.with_dc(v);
-    OpResult op = dc_operating_point(c, t, opts, &ws);
+    OpResult op = dc_operating_point(c, t, opts, &ws, nullptr, &plan);
     if (!op.converged) {
       c.vsource(*idx).wave = original;
       result.error = "sweep point did not converge at value " +
                      std::to_string(v);
       return result;
     }
+    plan = ws.lu.plan();
     opts.initial_guess = op.solution;  // warm start the next point
     result.values.push_back(v);
     result.points.push_back(std::move(op));

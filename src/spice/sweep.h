@@ -1,8 +1,8 @@
 // Sweep drivers: repeated analyses while stepping one source's DC value.
 //
-//  * dc_sweep_vsource — operating points, warm-started point-to-point (the
-//    warm start makes the points order-dependent, so this driver is serial
-//    by construction);
+//  * dc_sweep_vsource — operating points, each warm-started from the
+//    previous point's solution and Newton LU plan (both make the points
+//    order-dependent, so this driver is serial by construction);
 //  * ac_sweep_vsource / tran_sweep_vsource — a full AC or transient run per
 //    DC value.  Every point solves cold on a private copy of the circuit,
 //    which makes points independent: they distribute over exec::parallel_for

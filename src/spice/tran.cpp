@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "numeric/interpolate.h"
-#include "numeric/linear.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "spice/workspace.h"
@@ -96,6 +95,33 @@ void build_cap_matrix(const NonlinearSystem& sys,
   }
 }
 
+// C's nonzeros in row-major order: the only entries the companion stamp
+// reads.  Rebuilt with the cap matrix on each accepted step; walking them
+// in this order does exactly the arithmetic of a dense row-major walk that
+// skips zeros.
+struct CapEntries {
+  std::vector<std::size_t> row_begin;  // n + 1 offsets into col/value
+  std::vector<std::size_t> col;
+  std::vector<double> value;
+
+  void assign(const num::RealMatrix& cmat) {
+    const std::size_t n = cmat.rows();
+    row_begin.assign(1, 0);
+    col.clear();
+    value.clear();
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* crow = cmat.row(r);
+      for (std::size_t c = 0; c < n; ++c) {
+        if (crow[c] != 0.0) {
+          col.push_back(c);
+          value.push_back(crow[c]);
+        }
+      }
+      row_begin.push_back(col.size());
+    }
+  }
+};
+
 enum class StepStatus { kConverged, kNoConverge, kSingular };
 
 // One implicit step of size h ending at `time`, shared by both stepping
@@ -107,7 +133,7 @@ enum class StepStatus { kConverged, kNoConverge, kSingular };
 struct StepContext {
   NonlinearSystem& sys;
   SimWorkspace& ws;
-  const num::RealMatrix& cmat;
+  const CapEntries& caps;
   const TranOptions& opts;
   std::size_t n;
   std::size_t nv;
@@ -129,30 +155,31 @@ struct StepContext {
     // Companion coefficients.  i_C = C dv/dt.  Backward Euler:
     // i = C (x - x_prev)/h.  Trapezoidal: i = 2C/h (x - x_prev) - C*dvdt_prev.
     const double a = trapezoidal ? 2.0 / h : 1.0 / h;
-    for (int iter = 0; iter < opts.max_newton; ++iter) {
-      metrics.iterations.add();
+    const auto assemble = [&] {
       sys.eval(x, eval_opts, &jac, &f, nullptr, &ws.devices);
       // Add capacitive currents: f += C*(a*(x - x_prev)) - hist
       // where hist = C*dvdt_prev for trapezoidal, 0 for BE.
       for (std::size_t r = 0; r < n; ++r) {
         double acc = 0.0;
-        const double* crow = cmat.row(r);
-        for (std::size_t col = 0; col < n; ++col) {
-          const double cv = crow[col];
-          if (cv != 0.0) {
-            acc += cv * a * (x[col] - x_prev[col]);
-            if (trapezoidal) acc -= cv * dvdt_prev[col];
-          }
-          if (cv != 0.0) jac(r, col) += cv * a;
+        double* jrow = jac.row(r);
+        for (std::size_t t = caps.row_begin[r]; t < caps.row_begin[r + 1];
+             ++t) {
+          const std::size_t col = caps.col[t];
+          const double cv = caps.value[t];
+          acc += cv * a * (x[col] - x_prev[col]);
+          if (trapezoidal) acc -= cv * dvdt_prev[col];
+          jrow[col] += cv * a;
         }
         f[r] += acc;
       }
-
-      num::lu_factor_in_place(&jac, &ws.lu);
-      if (ws.lu.singular) return StepStatus::kSingular;
+    };
+    for (int iter = 0; iter < opts.max_newton; ++iter) {
+      metrics.iterations.add();
+      assemble();
+      if (!factor_jacobian(&ws, assemble)) return StepStatus::kSingular;
       dx.resize(n);
       for (std::size_t i = 0; i < n; ++i) dx[i] = -f[i];
-      num::lu_solve_in_place(ws.lu, &dx);
+      ws.lu.solve(&dx);
       double max_dv = 0.0;
       for (std::size_t i = 0; i < nv; ++i) {
         max_dv = std::max(max_dv, std::abs(dx[i]));
@@ -265,15 +292,20 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
   result.states.push_back(x);
 
   num::RealMatrix cmat;
+  CapEntries caps;
   build_cap_matrix(sys, device_ops, &cmat);
+  caps.assign(cmat);
   std::vector<double> dvdt_prev(n, 0.0);  // starts from DC: dv/dt = 0
 
   // One workspace for every Newton iteration of every timestep: after the
   // first iteration the stepping loop allocates only the accepted states.
+  // The run plans its LU on its first Jacobian (pattern G + C) and keeps
+  // the plan to the end, re-planning only when a pivot fails.
   SimWorkspace ws;
   sys.build_device_table(&ws.devices);
+  sys.jacobian_pattern(/*with_caps=*/true, &ws.pattern);
 
-  const StepContext ctx{sys, ws, cmat, opts, n, nv};
+  const StepContext ctx{sys, ws, caps, opts, n, nv};
   NonlinearSystem::EvalOptions refresh_opts;
   refresh_opts.gmin = opts.gmin;
 
@@ -293,6 +325,7 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
     refresh_opts.time = time;
     sys.eval(x_new, refresh_opts, nullptr, nullptr, &device_ops, &ws.devices);
     build_cap_matrix(sys, device_ops, &cmat);
+    caps.assign(cmat);
     result.time.push_back(time);
     result.states.push_back(x_new);
     metrics.steps.add();

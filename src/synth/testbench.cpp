@@ -54,7 +54,7 @@ void OpenLoopBench::set_vid(double vid) {
 
 OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
                           const std::vector<double>& warm,
-                          sim::SimWorkspace* ws) {
+                          sim::SimWorkspace* ws, const num::LuPlan* plan) {
   static obs::Counter& nulls =
       obs::Registry::global().counter("sim.offset.nulls");
   static obs::Counter& fallbacks =
@@ -69,7 +69,7 @@ OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
   start.initial_guess = warm;
   if (warm.empty()) {
     const sim::OpResult op =
-        sim::dc_operating_point(bench->circuit, t, start, ws);
+        sim::dc_operating_point(bench->circuit, t, start, ws, nullptr, plan);
     if (op.converged) start.initial_guess = op.solution;
   }
   if (!start.initial_guess.empty()) {
@@ -78,7 +78,8 @@ OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
     border.vneg = bench->vin_idx;
     border.out = bench->nodes.out;
     border.target = mid;
-    null.op = sim::dc_operating_point(bench->circuit, t, start, ws, &border);
+    null.op =
+        sim::dc_operating_point(bench->circuit, t, start, ws, &border, plan);
     if (null.op.converged) {
       bench->set_vid(border.vid);
       null.vid = border.vid;
@@ -96,7 +97,8 @@ OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
     bench->set_vid(vid);
     sim::OpOptions o;
     o.initial_guess = probe_warm;
-    sim::OpResult op = sim::dc_operating_point(bench->circuit, t, o, ws);
+    sim::OpResult op =
+        sim::dc_operating_point(bench->circuit, t, o, ws, nullptr, plan);
     if (op.converged) probe_warm = op.solution;
     return op;
   };

@@ -116,10 +116,12 @@ struct OffsetNull {
 // not respond to vid, or the iteration cap — the null is bracketed and
 // bisected to 1e-9 V instead, one warm DC solve per probe.  Leaves the
 // bench driven at the null.  Counts every call in sim.offset.nulls and
-// every fallback in sim.offset.fallbacks.
+// every fallback in sim.offset.fallbacks.  Every DC solve starts from
+// `plan` (a Newton LU plan for this bench's pattern) when one is given.
 OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
                           const std::vector<double>& warm = {},
-                          sim::SimWorkspace* ws = nullptr);
+                          sim::SimWorkspace* ws = nullptr,
+                          const num::LuPlan* plan = nullptr);
 
 // Slew fixture: the op-amp as a unity-gain follower with the spec load,
 // its input a pulse of opts.step_amplitude about the input common mode.

@@ -103,10 +103,14 @@ SampleFixture::SampleFixture(const tech::Technology& t,
     sigma_vt.push_back(p.sigma_vt(m.geom.w * m.geom.m, m.geom.l));
   }
   // Computed once before any fan-out: every sample warm-starts its offset
-  // null from these bytes, so there is no cross-sample solver state and
-  // no partitioning dependence.
-  const sim::OpResult op = sim::dc_operating_point(base.circuit, t, {});
-  if (op.converged) nominal = op.solution;
+  // null from these bytes and factors in this plan, so there is no
+  // cross-sample solver state and no partitioning dependence.
+  sim::SimWorkspace ws;
+  const sim::OpResult op = sim::dc_operating_point(base.circuit, t, {}, &ws);
+  if (op.converged) {
+    nominal = op.solution;
+    plan = ws.lu.plan();
+  }
 }
 
 synth::OpenLoopBench SampleFixture::draw(std::uint64_t seed,
@@ -167,7 +171,7 @@ YieldResult analyze_yield(const tech::Technology& t,
         synth::OpenLoopBench bench = fixture.draw(params.seed, i);
         Sample& s = samples[i];
         const synth::OffsetNull null = synth::measure_offset(
-            &bench, t, fixture.nominal, &scratch[lane].dc);
+            &bench, t, fixture.nominal, &scratch[lane].dc, &fixture.plan);
         if (!null.ok) return;
         s.offset = std::abs(null.vid);
 

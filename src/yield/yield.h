@@ -19,7 +19,8 @@
 //  * sample i draws from util::RngStream(seed, i) — a pure function of
 //    (seed, sample index), so any partitioning of the sample space over
 //    `--jobs` threads, shard workers, or chunk sizes sees identical draws;
-//  * every sample warm-starts from the *nominal* operating point, computed
+//  * every sample warm-starts from the *nominal* operating point, and its
+//    Newton LU starts from the nominal solve's pivot plan, both computed
 //    once before the fan-out — no cross-sample solver state;
 //  * the reduction runs in fixed sample-index order (exec::parallel_for
 //    lands results by index), and percentiles sort converged values.
@@ -98,6 +99,9 @@ struct SampleFixture {
   // Nominal operating point every offset null warm-starts from; empty
   // when it did not converge.
   std::vector<double> nominal;
+  // Newton LU plan every sample's DC solves start from: the one the
+  // nominal operating point ended with (unplanned when it failed).
+  num::LuPlan plan;
   // The AC grid, synth::open_loop_freqs: the verification sweep's grid.
   std::vector<double> freqs;
 };

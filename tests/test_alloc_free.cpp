@@ -23,6 +23,7 @@
 #include "spice/ac.h"
 #include "spice/dc.h"
 #include "spice/measure.h"
+#include "spice/workspace.h"
 #include "tech/builtin.h"
 #include "util/units.h"
 
@@ -114,12 +115,14 @@ Circuit amp_circuit(const tech::Technology& t) {
 
 TEST(AllocFree, BatchedDeviceEvalNewtonLoopIsAllocationFreeWhenWarm) {
   // One converged Newton solve from a flat start, exactly the kernel loop
-  // dc_operating_point runs: eval, in-place factor, in-place solve, damped
-  // update, convergence check.  The factor adopts the Jacobian's storage by
-  // swap, so two buffers rotate between ws.jac and ws.lu; a multi-iteration
-  // first pass primes both.  Re-biasing the device table, running the
-  // batch kernel, and stamping from the flat arrays must all be
-  // allocation-free once the table and workspace have their steady sizes.
+  // dc_operating_point runs: eval, the LU planned on the first Jacobian and
+  // refactored in that plan afterwards (sim::factor_jacobian), in-place
+  // solve, damped update, convergence check.  The factor adopts the
+  // Jacobian's storage by swap, so two buffers rotate between ws.jac and
+  // ws.lu; a multi-iteration first pass primes both.  Building the
+  // pattern, planning, re-biasing the device table, running the batch
+  // kernel, and stamping from the flat arrays must all be allocation-free
+  // once the table and workspace have their steady sizes.
   const tech::Technology t = tech::five_micron();
   const Circuit c = amp_circuit(t);
   NonlinearSystem sys(c, t);
@@ -133,15 +136,19 @@ TEST(AllocFree, BatchedDeviceEvalNewtonLoopIsAllocationFreeWhenWarm) {
   const OpOptions opts;
   auto newton_pass = [&] {
     sys.build_device_table(&ws.devices);  // in-place refresh at steady size
+    sys.jacobian_pattern(/*with_caps=*/false, &ws.pattern);
+    ws.lu.use_plan(num::LuPlan{});  // each call plans afresh
     for (std::size_t i = 0; i < n; ++i) x[i] = 0.0;
     converged = false;
-    for (int iter = 0; iter < opts.max_iterations && !converged; ++iter) {
+    const auto assemble = [&] {
       sys.eval(x, eval_opts, &ws.jac, &ws.residual, nullptr, &ws.devices);
-      num::lu_factor_in_place(&ws.jac, &ws.lu);
-      if (ws.lu.singular) return;
+    };
+    for (int iter = 0; iter < opts.max_iterations && !converged; ++iter) {
+      assemble();
+      if (!factor_jacobian(&ws, assemble)) return;
       ws.step.resize(n);
       for (std::size_t i = 0; i < n; ++i) ws.step[i] = -ws.residual[i];
-      num::lu_solve_in_place(ws.lu, &ws.step);
+      ws.lu.solve(&ws.step);
       double max_dv = 0.0;
       for (std::size_t i = 0; i < nv; ++i) {
         max_dv = std::max(max_dv, std::abs(ws.step[i]));

@@ -9,10 +9,13 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "numeric/interpolate.h"
 #include "numeric/linear.h"
+#include "obs/metrics.h"
 #include "spice/ac.h"
 #include "spice/dc.h"
 #include "spice/small_signal.h"
@@ -107,6 +110,31 @@ void expect_same_op(const OpResult& a, const OpResult& b) {
   }
 }
 
+// The deterministic sim.lu.* counters: how often the Newton LU planned,
+// refactored in a plan, and re-planned after a failed pivot.
+struct LuCounts {
+  std::uint64_t analyses = 0, refactors = 0, replans = 0;
+  bool operator==(const LuCounts&) const = default;
+  LuCounts operator-(const LuCounts& o) const {
+    return {analyses - o.analyses, refactors - o.refactors,
+            replans - o.replans};
+  }
+  friend std::ostream& operator<<(std::ostream& os, const LuCounts& c) {
+    return os << c.analyses << " analyses, " << c.refactors
+              << " refactors, " << c.replans << " replans";
+  }
+};
+
+LuCounts lu_counts() {
+  const obs::MetricsSnapshot s = obs::Registry::global().snapshot();
+  const auto value = [&](const char* name) {
+    const obs::MetricEntry* e = s.find(name);
+    return e != nullptr ? e->counter : std::uint64_t{0};
+  };
+  return {value("sim.lu.analyses"), value("sim.lu.refactors"),
+          value("sim.lu.replans")};
+}
+
 // ---- DC -----------------------------------------------------------------------
 
 TEST(WorkspaceGoldenDc, WithWithoutAndReusedWorkspaceIdentical) {
@@ -124,6 +152,46 @@ TEST(WorkspaceGoldenDc, WithWithoutAndReusedWorkspaceIdentical) {
   (void)dc_operating_point(other, tech5(), {}, &ws);
   const OpResult reused = dc_operating_point(c, tech5(), {}, &ws);
   expect_same_op(plain, reused);
+
+  // Same pattern, different bias: the input railed (the pair switched hard
+  // to one side), then back at the normal bias.  Each call must start its
+  // LU from no plan, not from the one the workspace's last call ended
+  // with: the same bits and the same sim.lu.* work as on a fresh
+  // workspace.  (A converged DC solution is rarely sensitive to the pivot
+  // order in its last bits, so the counts are what expose a plan carried
+  // over.)
+  Circuit railed = c;
+  const std::size_t vip = *railed.find_vsource("VIP");
+  railed.vsource(vip).wave = railed.vsource(vip).wave.with_dc(4.5);
+  OpOptions from_null;
+  from_null.initial_guess = plain.solution;
+  const auto fresh_run = [&](const Circuit& circuit, const OpOptions& o,
+                             LuCounts* work) {
+    SimWorkspace fresh_ws;
+    const LuCounts before = lu_counts();
+    OpResult r = dc_operating_point(circuit, tech5(), o, &fresh_ws);
+    *work = lu_counts() - before;
+    return r;
+  };
+  const auto reused_run = [&](const Circuit& circuit, const OpOptions& o,
+                              LuCounts* work) {
+    const LuCounts before = lu_counts();
+    OpResult r = dc_operating_point(circuit, tech5(), o, &ws);
+    *work = lu_counts() - before;
+    return r;
+  };
+  LuCounts fresh_work, reused_work;
+  const OpResult railed_fresh = fresh_run(railed, from_null, &fresh_work);
+  ASSERT_TRUE(railed_fresh.converged);
+  expect_same_op(railed_fresh, reused_run(railed, from_null, &reused_work));
+  EXPECT_EQ(fresh_work, reused_work);
+  OpOptions from_rail;
+  from_rail.initial_guess = railed_fresh.solution;
+  const OpResult back = fresh_run(c, from_rail, &fresh_work);
+  ASSERT_TRUE(back.converged);
+  expect_same_op(back, reused_run(c, from_rail, &reused_work));
+  EXPECT_EQ(fresh_work, reused_work);
+  EXPECT_EQ(fresh_work.analyses, 1u);
 }
 
 TEST(WorkspaceGoldenDc, ContinuationStrategiesIdenticalWithWorkspace) {
@@ -339,19 +407,25 @@ TEST(WorkspaceGoldenSweep, AcAndTranSweepsJobsInvariant) {
     }
   }
 
-  // dc_sweep_vsource reuses one workspace across all warm-started points;
-  // identical to point-by-point calls without one.
+  // dc_sweep_vsource reuses one workspace across all warm-started points
+  // and hands each point's LU plan to the next; identical to
+  // point-by-point calls that hand the plan on the same way, each on a
+  // fresh workspace.
   const DcSweepResult sweep =
       dc_sweep_vsource(c, tech5(), "VIP", values);
   ASSERT_TRUE(sweep.ok) << sweep.error;
   OpOptions warm;
+  num::LuPlan plan;
   const auto src = c.find_vsource("VIP");
   ASSERT_TRUE(src.has_value());
   for (std::size_t i = 0; i < values.size(); ++i) {
     Circuit local = c;
     local.vsource(*src).wave = local.vsource(*src).wave.with_dc(values[i]);
-    const OpResult ref = dc_operating_point(local, tech5(), warm);
+    SimWorkspace ws;
+    const OpResult ref =
+        dc_operating_point(local, tech5(), warm, &ws, nullptr, &plan);
     ASSERT_TRUE(ref.converged);
+    plan = ws.lu.plan();
     EXPECT_EQ(sweep.points[i].solution, ref.solution) << "point=" << i;
     warm.initial_guess = ref.solution;
   }

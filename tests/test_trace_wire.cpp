@@ -224,6 +224,9 @@ TEST(StatusWire, RoundTripsEveryField) {
   in.respawns = 1;
   in.worker_timeouts = 2;
   in.worker_errors = 4;
+  in.lu_analyses = 11;
+  in.lu_refactors = 900;
+  in.lu_replans = 3;
   serve::WorkerStatus wk;
   wk.shard = 1;
   wk.pid = 4242;
@@ -254,6 +257,9 @@ TEST(StatusWire, RoundTripsEveryField) {
   EXPECT_EQ(out.respawns, in.respawns);
   EXPECT_EQ(out.worker_timeouts, in.worker_timeouts);
   EXPECT_EQ(out.worker_errors, in.worker_errors);
+  EXPECT_EQ(out.lu_analyses, in.lu_analyses);
+  EXPECT_EQ(out.lu_refactors, in.lu_refactors);
+  EXPECT_EQ(out.lu_replans, in.lu_replans);
   ASSERT_EQ(out.workers.size(), 1u);
   EXPECT_EQ(out.workers[0].shard, wk.shard);
   EXPECT_EQ(out.workers[0].pid, wk.pid);
@@ -663,6 +669,10 @@ TEST(TracedServe, DaemonServedTraceMatchesLocalBytesAndAnswersStatus) {
     served += wk.requests_served;
   }
   EXPECT_EQ(served, requests.size());
+  // The yield request's DC solves planned and refactored the Newton LU in
+  // a worker, and the daemon summed the workers' counts.
+  EXPECT_GT(status.lu_analyses, 0u);
+  EXPECT_GT(status.lu_refactors, 0u);
 }
 
 // ---- chrome trace-event export ----------------------------------------------
