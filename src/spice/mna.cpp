@@ -1,5 +1,6 @@
 #include "spice/mna.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -91,6 +92,47 @@ void fill_device_caps(const tech::Technology& t, const ckt::Mosfet& m,
                               sign * (vs - vb));
 }
 
+namespace {
+
+// Index of the (type, node, bulk) junction in `jt`, appended if new.
+std::uint32_t junction_index(JunctionTable* jt, double sign, int node,
+                             int bulk, const tech::MosParams& p) {
+  for (std::size_t j = 0; j < jt->size(); ++j) {
+    if (jt->sign[j] == sign && jt->node[j] == node && jt->bulk[j] == bulk) {
+      return static_cast<std::uint32_t>(j);
+    }
+  }
+  jt->node.push_back(node);
+  jt->bulk.push_back(bulk);
+  jt->sign.push_back(sign);
+  jt->pb.push_back(p.pb);
+  jt->mj.push_back(p.mj);
+  jt->mjsw.push_back(p.mjsw);
+  // pow(1, y) is exactly 1: a tied junction's pair never changes.
+  jt->pow_area.push_back(1.0);
+  jt->pow_sw.push_back(1.0);
+  return static_cast<std::uint32_t>(jt->size() - 1);
+}
+
+}  // namespace
+
+void update_junction_caps(DeviceTable* table, const std::vector<double>& x) {
+  JunctionTable& jt = table->junctions;
+  const auto node_voltage = [&](int idx) {
+    return idx < 0 ? 0.0 : x[static_cast<std::size_t>(idx)];
+  };
+  for (std::size_t j = 0; j < jt.size(); ++j) {
+    if (jt.node[j] == jt.bulk[j]) continue;
+    // mos::junction_cap's denominators, term for term.
+    const double vrev =
+        jt.sign[j] * (node_voltage(jt.node[j]) - node_voltage(jt.bulk[j]));
+    const double pb = jt.pb[j];
+    const double v = std::max(vrev, -0.5 * pb);
+    jt.pow_area[j] = std::pow(1.0 + v / pb, jt.mj[j]);
+    jt.pow_sw[j] = std::pow(1.0 + v / pb, jt.mjsw[j]);
+  }
+}
+
 void NonlinearSystem::build_device_table(DeviceTable* table) const {
   const auto& mosfets = circuit_->mosfets();
   const std::size_t n = mosfets.size();
@@ -101,6 +143,13 @@ void NonlinearSystem::build_device_table(DeviceTable* table) const {
   table->s.resize(n);
   table->b.resize(n);
   table->swapped.resize(n);
+  table->gate_caps.resize(3 * n);
+  table->cj_area.resize(n);
+  table->cjsw_perim.resize(n);
+  table->drain_junction.resize(n);
+  table->source_junction.resize(n);
+  JunctionTable& jt = table->junctions;
+  jt.clear();
   const tech::Technology& t = *tech_;
   for (std::size_t k = 0; k < n; ++k) {
     const auto& m = mosfets[k];
@@ -111,12 +160,57 @@ void NonlinearSystem::build_device_table(DeviceTable* table) const {
     } catch (const std::invalid_argument& err) {
       throw std::invalid_argument("device '" + m.name + "': " + err.what());
     }
-    table->sign[k] = m.type == mos::MosType::kNmos ? 1.0 : -1.0;
+    const double sign = m.type == mos::MosType::kNmos ? 1.0 : -1.0;
+    table->sign[k] = sign;
     table->d[k] = layout_.node_index(m.d);
     table->g[k] = layout_.node_index(m.g);
     table->s[k] = layout_.node_index(m.s);
     table->b[k] = layout_.node_index(m.b);
+    for (const mos::Region r : {mos::Region::kCutoff, mos::Region::kTriode,
+                                mos::Region::kSaturation}) {
+      table->gate_caps[3 * k + static_cast<std::size_t>(r)] =
+          mos::gate_caps(p, t.cox, m.geom, r);
+    }
+    const double w_total = m.geom.w * m.geom.m;
+    table->cj_area[k] = p.cj * t.diffusion_area(w_total);
+    table->cjsw_perim[k] = p.cjsw * t.diffusion_perimeter(w_total);
+    table->drain_junction[k] =
+        junction_index(&jt, sign, table->d[k], table->b[k], p);
+    table->source_junction[k] =
+        junction_index(&jt, sign, table->s[k], table->b[k], p);
   }
+}
+
+void NonlinearSystem::evaluate_devices(const std::vector<double>& x,
+                                       DeviceTable* devices) const {
+  DeviceTable& tab = *devices;
+  mos::CoreEvalBatch& bat = tab.batch;
+  const std::size_t ndev = tab.size();
+
+  // Re-bias pass: map node voltages into the NMOS-like frame per slot
+  // (PMOS sign flip, then drain/source exchange when cvd < cvs), exactly
+  // the frame mapping at the top of mos::evaluate_terminal.
+  auto node_voltage = [&](int idx) {
+    return idx < 0 ? 0.0 : x[static_cast<std::size_t>(idx)];
+  };
+  for (std::size_t k = 0; k < ndev; ++k) {
+    const double sign = tab.sign[k];
+    const double cvg = sign * node_voltage(tab.g[k]);
+    double cvd = sign * node_voltage(tab.d[k]);
+    double cvs = sign * node_voltage(tab.s[k]);
+    const double cvb = sign * node_voltage(tab.b[k]);
+    const bool swapped = cvd < cvs;
+    if (swapped) std::swap(cvd, cvs);
+    tab.swapped[k] = swapped ? 1 : 0;
+    bat.vgs[k] = cvg - cvs;
+    bat.vds[k] = cvd - cvs;
+    bat.vbs[k] = cvb - cvs;
+  }
+
+  mos::evaluate_core_batch(&bat);
+  DeviceEvalMetrics& dm = DeviceEvalMetrics::get();
+  dm.batches.add();
+  dm.devices.add(static_cast<std::uint64_t>(ndev));
 }
 
 void NonlinearSystem::eval(const std::vector<double>& x,
@@ -215,35 +309,14 @@ void NonlinearSystem::eval(const std::vector<double>& x,
         "eval: device table was not built for this circuit (see "
         "NonlinearSystem::build_device_table)");
   }
-  const tech::Technology& t = *tech_;
   DeviceTable& tab = *devices;
-  mos::CoreEvalBatch& bat = tab.batch;
+  const mos::CoreEvalBatch& bat = tab.batch;
   const std::size_t ndev = tab.size();
-
-  // Re-bias pass: map node voltages into the NMOS-like frame per slot
-  // (PMOS sign flip, then drain/source exchange when cvd < cvs), exactly
-  // the frame mapping at the top of mos::evaluate_terminal.
+  evaluate_devices(x, &tab);
+  if (device_ops != nullptr) update_junction_caps(&tab, x);
   auto node_voltage = [&](int idx) {
     return idx < 0 ? 0.0 : x[static_cast<std::size_t>(idx)];
   };
-  for (std::size_t k = 0; k < ndev; ++k) {
-    const double sign = tab.sign[k];
-    const double cvg = sign * node_voltage(tab.g[k]);
-    double cvd = sign * node_voltage(tab.d[k]);
-    double cvs = sign * node_voltage(tab.s[k]);
-    const double cvb = sign * node_voltage(tab.b[k]);
-    const bool swapped = cvd < cvs;
-    if (swapped) std::swap(cvd, cvs);
-    tab.swapped[k] = swapped ? 1 : 0;
-    bat.vgs[k] = cvg - cvs;
-    bat.vds[k] = cvd - cvs;
-    bat.vbs[k] = cvb - cvs;
-  }
-
-  mos::evaluate_core_batch(&bat);
-  DeviceEvalMetrics& dm = DeviceEvalMetrics::get();
-  dm.batches.add();
-  dm.devices.add(static_cast<std::uint64_t>(ndev));
 
   // Stamp pass, in device index order from the flat outputs.  The
   // swap/sign unwinding below mirrors the tail of mos::evaluate_terminal
@@ -284,7 +357,6 @@ void NonlinearSystem::eval(const std::vector<double>& x,
     add_j(is, ib, -di_dvb);
 
     if (device_ops != nullptr) {
-      const auto& m = circuit_->mosfets()[k];
       const double vd = node_voltage(id_);
       const double vg = node_voltage(ig);
       const double vs = node_voltage(is);
@@ -306,7 +378,12 @@ void NonlinearSystem::eval(const std::vector<double>& x,
       op.di_dvd = di_dvd;
       op.di_dvs = di_dvs;
       op.di_dvb = di_dvb;
-      fill_device_caps(t, m, vd, vg, vs, vb, &op);
+      const MosCaps caps = tab.caps(k);
+      op.cgs = caps.cgs;
+      op.cgd = caps.cgd;
+      op.cgb = caps.cgb;
+      op.cdb = caps.cdb;
+      op.csb = caps.csb;
     }
   }
 }
@@ -359,27 +436,6 @@ void NonlinearSystem::jacobian_pattern(bool with_caps,
   }
   if (with_caps) {
     for (const auto& c : circuit_->capacitors()) add_pair(c.a, c.b);
-  }
-}
-
-void NonlinearSystem::stamp_linear_caps(num::RealMatrix* cmat) const {
-  const std::size_t n = layout_.size();
-  if (cmat->rows() != n || cmat->cols() != n) {
-    *cmat = num::RealMatrix(n, n);
-  }
-  auto add = [&](int row, int col, double v) {
-    if (row >= 0 && col >= 0) {
-      (*cmat)(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) +=
-          v;
-    }
-  };
-  for (const auto& c : circuit_->capacitors()) {
-    const int ia = layout_.node_index(c.a);
-    const int ib = layout_.node_index(c.b);
-    add(ia, ia, c.capacitance);
-    add(ia, ib, -c.capacitance);
-    add(ib, ia, -c.capacitance);
-    add(ib, ib, c.capacitance);
   }
 }
 

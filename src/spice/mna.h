@@ -62,6 +62,32 @@ struct DeviceOp {
   double cgs = 0.0, cgd = 0.0, cgb = 0.0, cdb = 0.0, csb = 0.0;
 };
 
+// The distinct MOS diffusion junctions of a circuit: one entry per
+// (type, node, bulk) triple among the devices' drains and sources.  Devices
+// that share a triple see one reverse bias, so one pow pair
+// (update_junction_caps) serves them all.  A junction tied to its bulk
+// (node == bulk) sits at zero bias: its pair is 1 and never recomputed.
+struct JunctionTable {
+  std::vector<int> node, bulk;  // MNA indices; -1 = ground
+  std::vector<double> sign;     // +1 NMOS, -1 PMOS (reverse-bias frame)
+  std::vector<double> pb, mj, mjsw;
+  // (1 + v/pb)^mj and (1 + v/pb)^mjsw at the last update_junction_caps,
+  // v the reverse bias clamped at -pb/2 (mos::junction_cap's denominators).
+  std::vector<double> pow_area, pow_sw;
+
+  std::size_t size() const { return node.size(); }
+  void clear() {
+    for (auto* v : {&sign, &pb, &mj, &mjsw, &pow_area, &pow_sw}) v->clear();
+    node.clear();
+    bulk.clear();
+  }
+};
+
+// The five bias-dependent capacitances of one MOS device [F].
+struct MosCaps {
+  double cgs = 0.0, cgd = 0.0, cgb = 0.0, cdb = 0.0, csb = 0.0;
+};
+
 // Structure-of-arrays MOS device table, the input of the batch kernel.
 // Built once per (circuit, solve) by NonlinearSystem::build_device_table —
 // device constants and MNA node indices in Circuit::mosfets() order — then
@@ -73,9 +99,41 @@ struct DeviceTable {
   std::vector<double> sign;           // +1 NMOS, -1 PMOS (frame flip)
   std::vector<int> d, g, s, b;        // MNA node indices; -1 = ground
   std::vector<std::uint8_t> swapped;  // per-eval scratch: D/S exchanged
+  // Capacitance constants: mos::gate_caps per device and Region (three
+  // entries per device, indexed by the Region value), cj * diffusion area
+  // and cjsw * diffusion perimeter, and the device's drain and source
+  // junctions as indices into `junctions`.
+  std::vector<mos::GateCaps> gate_caps;
+  std::vector<double> cj_area, cjsw_perim;
+  std::vector<std::uint32_t> drain_junction, source_junction;
+  JunctionTable junctions;
 
   std::size_t size() const { return batch.size(); }
+
+  // Capacitances of device k at its last evaluation: gate capacitances
+  // for the region evaluate_core_batch found, junction capacitances from
+  // the pow pairs of the last update_junction_caps.  Bit for bit what
+  // fill_device_caps computes at that bias.
+  MosCaps caps(std::size_t k) const {
+    const mos::GateCaps& gc = gate_caps[3 * k + batch.region[k]];
+    const std::uint32_t jd = drain_junction[k];
+    const std::uint32_t js = source_junction[k];
+    MosCaps c;
+    c.cgs = gc.cgs;
+    c.cgd = gc.cgd;
+    c.cgb = gc.cgb;
+    c.cdb = cj_area[k] / junctions.pow_area[jd] +
+            cjsw_perim[k] / junctions.pow_sw[jd];
+    c.csb = cj_area[k] / junctions.pow_area[js] +
+            cjsw_perim[k] / junctions.pow_sw[js];
+    return c;
+  }
 };
+
+// Computes every junction's pow pair at the unknown vector `x`: two
+// std::pow per distinct junction not tied to its bulk, in place of two per
+// drain and two per source.
+void update_junction_caps(DeviceTable* table, const std::vector<double>& x);
 
 // Assembles residual/Jacobian for the resistive (non-capacitive) part of
 // the circuit.  Capacitor companion models are added by the transient
@@ -109,10 +167,18 @@ class NonlinearSystem {
             std::vector<DeviceOp>* device_ops = nullptr,
             DeviceTable* devices = nullptr) const;
 
+  // The device half of eval without any stamping: re-biases `devices` (a
+  // table built for this circuit) at `x` and runs the batch kernel, so its
+  // outputs and regions, and DeviceTable::caps after update_junction_caps,
+  // are those an eval at `x` sees.  Allocation-free.
+  void evaluate_devices(const std::vector<double>& x,
+                        DeviceTable* devices) const;
+
   // Fills `table` with this circuit's MOS devices (constants, effective
-  // parameters including per-device mismatch, MNA node indices).  Validates
-  // every geometry — throws std::invalid_argument naming the device on
-  // w <= 0, l <= 0, or m < 1.  Only allocates when the table grows.
+  // parameters including per-device mismatch, capacitance constants and
+  // the junction table, MNA node indices).  Validates every geometry —
+  // throws std::invalid_argument naming the device on w <= 0, l <= 0, or
+  // m < 1.  Only allocates when the table grows.
   void build_device_table(DeviceTable* table) const;
 
   // Structural pattern of the Jacobian eval stamps: every slot any bias can
@@ -123,18 +189,14 @@ class NonlinearSystem {
   // circuit; allocation-free once `pattern` is sized.
   void jacobian_pattern(bool with_caps, num::SparsePattern* pattern) const;
 
-  // Lumped linear capacitance matrix contribution C (for transient): stamps
-  // the circuit's explicit capacitors only.  Device capacitances are
-  // bias-dependent and handled by the caller via DeviceOp.
-  void stamp_linear_caps(num::RealMatrix* cmat) const;
-
  private:
   const ckt::Circuit* circuit_;
   const tech::Technology* tech_;
   MnaLayout layout_;
 };
 
-// Fills DeviceOp capacitances (gate + junction) at the given bias.
+// Fills DeviceOp capacitances (gate + junction) at the given bias: the
+// scalar reference for DeviceTable::caps.
 void fill_device_caps(const tech::Technology& t, const ckt::Mosfet& m,
                       double vd, double vg, double vs, double vb,
                       DeviceOp* op);

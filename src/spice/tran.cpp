@@ -52,96 +52,139 @@ double TranResult::voltage_at(const MnaLayout& layout, ckt::NodeId n,
   return num::interp_linear(time, node_waveform(layout, n), t);
 }
 
-namespace {
-
-// Builds the capacitance matrix into `*cmat_out` (reused across timesteps):
-// explicit capacitors plus device capacitances evaluated from `device_ops`
-// (bias at the previous accepted time point).
-void build_cap_matrix(const NonlinearSystem& sys,
-                      const std::vector<DeviceOp>& device_ops,
-                      num::RealMatrix* cmat_out) {
+void CapSlots::build(const NonlinearSystem& sys) {
   const MnaLayout& layout = sys.layout();
+  const ckt::Circuit& c = sys.circuit();
   const std::size_t n = layout.size();
-  num::RealMatrix& cmat = *cmat_out;
-  if (cmat.rows() != n || cmat.cols() != n) {
-    cmat = num::RealMatrix(n, n);
-  } else {
-    cmat.fill(0.0);  // stamp_linear_caps accumulates
-  }
-  sys.stamp_linear_caps(&cmat);
-  auto add2 = [&](ckt::NodeId a, ckt::NodeId b, double value) {
-    const int ia = layout.node_index(a);
-    const int ib = layout.node_index(b);
-    if (ia >= 0) cmat(static_cast<std::size_t>(ia),
-                      static_cast<std::size_t>(ia)) += value;
-    if (ib >= 0) cmat(static_cast<std::size_t>(ib),
-                      static_cast<std::size_t>(ib)) += value;
-    if (ia >= 0 && ib >= 0) {
-      cmat(static_cast<std::size_t>(ia), static_cast<std::size_t>(ib)) -=
-          value;
-      cmat(static_cast<std::size_t>(ib), static_cast<std::size_t>(ia)) -=
-          value;
-    }
+
+  // Every contribution in dense-build order.  `source` < 0 names explicit
+  // capacitor -1 - source, else device capacitance dev_caps_[source].
+  struct Contribution {
+    int row, col;
+    double sign;
+    long source;
   };
-  const auto& mosfets = sys.circuit().mosfets();
+  std::vector<Contribution> list;
+  const auto emit = [&](int row, int col, double sign, long source) {
+    if (row >= 0 && col >= 0) list.push_back({row, col, sign, source});
+  };
+  for (std::size_t i = 0; i < c.capacitors().size(); ++i) {
+    const auto& cap = c.capacitors()[i];
+    const int ia = layout.node_index(cap.a);
+    const int ib = layout.node_index(cap.b);
+    const long source = -1 - static_cast<long>(i);
+    emit(ia, ia, 1.0, source);
+    emit(ia, ib, -1.0, source);
+    emit(ib, ia, -1.0, source);
+    emit(ib, ib, 1.0, source);
+  }
+  const auto& mosfets = c.mosfets();
   for (std::size_t k = 0; k < mosfets.size(); ++k) {
     const auto& m = mosfets[k];
-    const DeviceOp& d = device_ops[k];
-    add2(m.g, m.s, d.cgs);
-    add2(m.g, m.d, d.cgd);
-    add2(m.g, m.b, d.cgb);
-    add2(m.d, m.b, d.cdb);
-    add2(m.s, m.b, d.csb);
+    const ckt::NodeId pairs[5][2] = {
+        {m.g, m.s}, {m.g, m.d}, {m.g, m.b}, {m.d, m.b}, {m.s, m.b}};
+    for (std::size_t q = 0; q < 5; ++q) {
+      const int ia = layout.node_index(pairs[q][0]);
+      const int ib = layout.node_index(pairs[q][1]);
+      const long source = static_cast<long>(5 * k + q);
+      emit(ia, ia, 1.0, source);
+      emit(ib, ib, 1.0, source);
+      emit(ia, ib, -1.0, source);
+      emit(ib, ia, -1.0, source);
+    }
+  }
+
+  num::SparsePattern pattern;
+  pattern.reset(n);
+  for (const Contribution& e : list) {
+    pattern.add(static_cast<std::size_t>(e.row),
+                static_cast<std::size_t>(e.col));
+  }
+  row_begin_.assign(1, 0);
+  col_.clear();
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t col = 0; col < n; ++col) {
+      if (pattern.has(r, col)) col_.push_back(static_cast<std::uint32_t>(col));
+    }
+    row_begin_.push_back(static_cast<std::uint32_t>(col_.size()));
+  }
+
+  base_.assign(col_.size(), 0.0);
+  add_slot_.clear();
+  add_cap_.clear();
+  add_sign_.clear();
+  for (const Contribution& e : list) {
+    const auto row = static_cast<std::size_t>(e.row);
+    const auto first = col_.begin() + row_begin_[row];
+    const auto slot = static_cast<std::uint32_t>(
+        std::lower_bound(first, col_.begin() + row_begin_[row + 1],
+                         static_cast<std::uint32_t>(e.col)) -
+        col_.begin());
+    if (e.source < 0) {
+      const auto i = static_cast<std::size_t>(-1 - e.source);
+      base_[slot] += e.sign * c.capacitors()[i].capacitance;
+    } else {
+      add_slot_.push_back(slot);
+      add_cap_.push_back(static_cast<std::uint32_t>(e.source));
+      add_sign_.push_back(e.sign);
+    }
+  }
+  dev_caps_.assign(5 * mosfets.size(), 0.0);
+  value_ = base_;
+}
+
+void CapSlots::refresh(const NonlinearSystem& sys,
+                       const std::vector<double>& x, DeviceTable* devices) {
+  sys.evaluate_devices(x, devices);
+  update_junction_caps(devices, x);
+  const std::size_t ndev = dev_caps_.size() / 5;
+  for (std::size_t k = 0; k < ndev; ++k) {
+    const MosCaps mc = devices->caps(k);
+    double* dc = &dev_caps_[5 * k];
+    dc[0] = mc.cgs;
+    dc[1] = mc.cgd;
+    dc[2] = mc.cgb;
+    dc[3] = mc.cdb;
+    dc[4] = mc.csb;
+  }
+  sum_slots();
+}
+
+void CapSlots::sum_slots() {
+  std::copy(base_.begin(), base_.end(), value_.begin());
+  for (std::size_t i = 0; i < add_slot_.size(); ++i) {
+    value_[add_slot_[i]] += add_sign_[i] * dev_caps_[add_cap_[i]];
   }
 }
 
-// C's nonzeros in row-major order: the only entries the companion stamp
-// reads.  Rebuilt with the cap matrix on each accepted step; walking them
-// in this order does exactly the arithmetic of a dense row-major walk that
-// skips zeros.
-struct CapEntries {
-  std::vector<std::size_t> row_begin;  // n + 1 offsets into col/value
-  std::vector<std::size_t> col;
-  std::vector<double> value;
-
-  void assign(const num::RealMatrix& cmat) {
-    const std::size_t n = cmat.rows();
-    row_begin.assign(1, 0);
-    col.clear();
-    value.clear();
-    for (std::size_t r = 0; r < n; ++r) {
-      const double* crow = cmat.row(r);
-      for (std::size_t c = 0; c < n; ++c) {
-        if (crow[c] != 0.0) {
-          col.push_back(c);
-          value.push_back(crow[c]);
-        }
-      }
-      row_begin.push_back(col.size());
-    }
-  }
-};
+namespace {
 
 enum class StepStatus { kConverged, kNoConverge, kSingular };
 
 // One implicit step of size h ending at `time`, shared by both stepping
 // strategies: a full Newton solve of the companion-model system.  `*x_io`
 // carries the initial guess in and the solution out (left mid-iteration on
-// failure — callers retry from a fresh copy).  The arithmetic is the exact
-// fixed-step reference sequence, so the fixed path stays bit-identical to
-// what it always produced.
+// failure — callers retry from a fresh copy).
+//
+// Newton stops when the undamped update falls below vntol, or earlier on
+// its contraction rate (Hairer & Wanner, Solving ODEs II, §IV.8): with
+// theta = |dx_k| / |dx_{k-1}| over two undamped iterations, the error left
+// in x after step k is about theta / (1 - theta) * |dx_k|, and once that
+// is below vntol the next iteration would only confirm convergence.
 struct StepContext {
   NonlinearSystem& sys;
   SimWorkspace& ws;
-  const CapEntries& caps;
+  const CapSlots& caps;
   const TranOptions& opts;
   std::size_t n;
   std::size_t nv;
+  // a*C and C*dvdt_prev slot by slot, fixed for one step attempt.
+  std::vector<double> a_c, hist;
 
   StepStatus solve(double time, double h, bool trapezoidal,
                    const std::vector<double>& x_prev,
                    const std::vector<double>& dvdt_prev,
-                   std::vector<double>* x_io) const {
+                   std::vector<double>* x_io) {
     TranMetrics& metrics = TranMetrics::get();
     std::vector<double>& x = *x_io;
     num::RealMatrix& jac = ws.jac;
@@ -155,6 +198,15 @@ struct StepContext {
     // Companion coefficients.  i_C = C dv/dt.  Backward Euler:
     // i = C (x - x_prev)/h.  Trapezoidal: i = 2C/h (x - x_prev) - C*dvdt_prev.
     const double a = trapezoidal ? 2.0 / h : 1.0 / h;
+    const std::vector<std::uint32_t>& row_begin = caps.row_begin();
+    const std::vector<std::uint32_t>& cols = caps.col();
+    const std::vector<double>& cv = caps.value();
+    a_c.resize(cv.size());
+    hist.resize(cv.size());
+    for (std::size_t t = 0; t < cv.size(); ++t) {
+      a_c[t] = cv[t] * a;
+      if (trapezoidal) hist[t] = cv[t] * dvdt_prev[cols[t]];
+    }
     const auto assemble = [&] {
       sys.eval(x, eval_opts, &jac, &f, nullptr, &ws.devices);
       // Add capacitive currents: f += C*(a*(x - x_prev)) - hist
@@ -162,17 +214,16 @@ struct StepContext {
       for (std::size_t r = 0; r < n; ++r) {
         double acc = 0.0;
         double* jrow = jac.row(r);
-        for (std::size_t t = caps.row_begin[r]; t < caps.row_begin[r + 1];
-             ++t) {
-          const std::size_t col = caps.col[t];
-          const double cv = caps.value[t];
-          acc += cv * a * (x[col] - x_prev[col]);
-          if (trapezoidal) acc -= cv * dvdt_prev[col];
-          jrow[col] += cv * a;
+        for (std::size_t t = row_begin[r]; t < row_begin[r + 1]; ++t) {
+          const std::size_t col = cols[t];
+          acc += a_c[t] * (x[col] - x_prev[col]);
+          if (trapezoidal) acc -= hist[t];
+          jrow[col] += a_c[t];
         }
         f[r] += acc;
       }
     };
+    double last_dv = 0.0;  // the previous update's |dx|; 0 when damped
     for (int iter = 0; iter < opts.max_newton; ++iter) {
       metrics.iterations.add();
       assemble();
@@ -184,10 +235,17 @@ struct StepContext {
       for (std::size_t i = 0; i < nv; ++i) {
         max_dv = std::max(max_dv, std::abs(dx[i]));
       }
-      double scale = 1.0;
-      if (max_dv > opts.vlimit_step) scale = opts.vlimit_step / max_dv;
+      const bool damped = max_dv > opts.vlimit_step;
+      const double scale = damped ? opts.vlimit_step / max_dv : 1.0;
       for (std::size_t i = 0; i < n; ++i) x[i] += scale * dx[i];
       if (max_dv < opts.vntol) return StepStatus::kConverged;
+      if (!damped && last_dv > 0.0) {
+        const double theta = max_dv / last_dv;
+        if (theta < 1.0 && theta / (1.0 - theta) * max_dv < opts.vntol) {
+          return StepStatus::kConverged;
+        }
+      }
+      last_dv = damped ? 0.0 : max_dv;
     }
     return StepStatus::kNoConverge;
   }
@@ -283,19 +341,8 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
   const std::size_t nv = layout.num_node_unknowns();
 
   std::vector<double> x = op.solution;
-  std::vector<DeviceOp> device_ops = op.devices;
-  if (device_ops.size() != c.mosfets().size()) {
-    device_ops.assign(c.mosfets().size(), DeviceOp{});
-  }
-
   result.time.push_back(0.0);
   result.states.push_back(x);
-
-  num::RealMatrix cmat;
-  CapEntries caps;
-  build_cap_matrix(sys, device_ops, &cmat);
-  caps.assign(cmat);
-  std::vector<double> dvdt_prev(n, 0.0);  // starts from DC: dv/dt = 0
 
   // One workspace for every Newton iteration of every timestep: after the
   // first iteration the stepping loop allocates only the accepted states.
@@ -305,9 +352,12 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
   sys.build_device_table(&ws.devices);
   sys.jacobian_pattern(/*with_caps=*/true, &ws.pattern);
 
-  const StepContext ctx{sys, ws, caps, opts, n, nv};
-  NonlinearSystem::EvalOptions refresh_opts;
-  refresh_opts.gmin = opts.gmin;
+  CapSlots caps;  // C at the operating point
+  caps.build(sys);
+  caps.refresh(sys, x, &ws.devices);
+  std::vector<double> dvdt_prev(n, 0.0);  // starts from DC: dv/dt = 0
+
+  StepContext ctx{sys, ws, caps, opts, n, nv, {}, {}};
 
   // Accepts a step ending at `time` with solution `x_new`: the derivative
   // the step's integration rule implies (the next trapezoidal step's
@@ -322,10 +372,7 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
       dvdt_prev[i] = trapezoidal ? a * (x_new[i] - x_prev[i]) - dvdt_prev[i]
                                  : (x_new[i] - x_prev[i]) / h;
     }
-    refresh_opts.time = time;
-    sys.eval(x_new, refresh_opts, nullptr, nullptr, &device_ops, &ws.devices);
-    build_cap_matrix(sys, device_ops, &cmat);
-    caps.assign(cmat);
+    caps.refresh(sys, x_new, &ws.devices);
     result.time.push_back(time);
     result.states.push_back(x_new);
     metrics.steps.add();

@@ -3,8 +3,11 @@
 // Implicit integration (backward Euler or trapezoidal) with a Newton solve
 // per time point.  Device capacitances are linearized at the start of each
 // step (their bias dependence is weak compared to the channel current
-// nonlinearity, which is handled fully by the Newton loop).  Used by the
-// measurement layer for slew-rate and settling checks.
+// nonlinearity, which is handled fully by the Newton loop) and refreshed in
+// fixed slots after each accepted step (CapSlots).  Each step's Newton
+// stops once the update falls below vntol, or once its contraction rate
+// shows the error left is below vntol (Hairer & Wanner, Solving ODEs II,
+// §IV.8).  Used by the measurement layer for slew-rate and settling checks.
 //
 // Two stepping strategies (TranMode, see spice/sim_options.h):
 //
@@ -23,6 +26,7 @@
 //    exactly on tstop.  The permanent bitwise reference.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,6 +34,48 @@
 #include "spice/sim_options.h"
 
 namespace oasys::sim {
+
+// The transient's capacitance matrix C in fixed slots, laid out once per
+// run.  The slots are C's row-major CSR (compressed sparse row) layout:
+// every entry any bias can fill, from the explicit capacitors and each MOS
+// device's gate and junction capacitances.  Each contribution — one
+// capacitance added to or subtracted from one entry — records the slot it
+// adds into, in the order a dense build stamps them: each explicit
+// capacitor c across (a, b) as (a,a) += c, (a,b) -= c, (b,a) -= c,
+// (b,b) += c, then per device cgs, cgd, cgb, cdb and csb across their
+// terminal pair as (a,a) += c, (b,b) += c, (a,b) -= c, (b,a) -= c.
+// Every entry so sums the same terms in the same order as a dense n x n
+// build, and a refill reproduces it bit for bit while touching only the
+// slots.
+class CapSlots {
+ public:
+  // Lays out the slots of `sys`'s circuit and sums its explicit
+  // capacitors; every device capacitance starts at zero.  Allocates.
+  void build(const NonlinearSystem& sys);
+  // Refills C at the unknown vector `x`: re-biases `devices` (a table
+  // built for the same circuit), runs the batch kernel and one pow pair
+  // per junction (update_junction_caps), and sums the slots.  No Jacobian
+  // or residual is stamped.  Allocation-free.
+  void refresh(const NonlinearSystem& sys, const std::vector<double>& x,
+               DeviceTable* devices);
+
+  // n + 1 offsets into col() and value(), row by row.
+  const std::vector<std::uint32_t>& row_begin() const { return row_begin_; }
+  const std::vector<std::uint32_t>& col() const { return col_; }
+  const std::vector<double>& value() const { return value_; }
+
+ private:
+  void sum_slots();  // value_ = base_ plus every device contribution
+
+  std::vector<std::uint32_t> row_begin_, col_;
+  std::vector<double> value_;
+  std::vector<double> base_;      // the explicit capacitors alone
+  std::vector<double> dev_caps_;  // 5 per device: cgs, cgd, cgb, cdb, csb
+  // Device contribution i adds add_sign_[i] * dev_caps_[add_cap_[i]] into
+  // value_[add_slot_[i]].
+  std::vector<std::uint32_t> add_slot_, add_cap_;
+  std::vector<double> add_sign_;
+};
 
 struct TranOptions {
   double tstop = 0.0;     // end time [s], > 0

@@ -65,12 +65,21 @@ OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
   OffsetNull null;
 
   bench->set_vid(0.0);
+  sim::SimWorkspace local_ws;
+  if (ws == nullptr) ws = &local_ws;
   sim::OpOptions start;
   start.initial_guess = warm;
+  num::LuPlan start_plan;  // the vid = 0 solve's, when no plan was given
   if (warm.empty()) {
     const sim::OpResult op =
         sim::dc_operating_point(bench->circuit, t, start, ws, nullptr, plan);
-    if (op.converged) start.initial_guess = op.solution;
+    if (op.converged) {
+      start.initial_guess = op.solution;
+      if (plan == nullptr) {
+        start_plan = ws->lu.plan();
+        plan = &start_plan;
+      }
+    }
   }
   if (!start.initial_guess.empty()) {
     sim::OffsetBorder border;
@@ -210,7 +219,10 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
   const double mid = t.mid_supply();
 
   // --- systematic offset and the operating point at the null ---------------
-  const OffsetNull null = measure_offset(&bench, t);
+  // Every open-loop DC solve shares one Jacobian pattern: the null's LU
+  // plan, left in `ws`, is handed on to the swing solves below.
+  sim::SimWorkspace ws;
+  const OffsetNull null = measure_offset(&bench, t, {}, &ws);
   if (!null.ok) {
     m.error = null.error;
     return m;
@@ -288,10 +300,13 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
   {
     sim::OpOptions o;
     o.initial_guess = op.solution;
+    const num::LuPlan null_plan = ws.lu.plan();
     bench.set_vid(null.vid + opts.swing_overdrive);
-    const sim::OpResult hi = sim::dc_operating_point(bench.circuit, t, o);
+    const sim::OpResult hi =
+        sim::dc_operating_point(bench.circuit, t, o, &ws, nullptr, &null_plan);
     bench.set_vid(null.vid - opts.swing_overdrive);
-    const sim::OpResult lo = sim::dc_operating_point(bench.circuit, t, o);
+    const sim::OpResult lo =
+        sim::dc_operating_point(bench.circuit, t, o, &ws, nullptr, &null_plan);
     if (hi.converged) {
       m.perf.swing_pos = hi.voltage(layout, bench.nodes.out) - mid;
     }

@@ -117,7 +117,9 @@ struct OffsetNull {
 // bisected to 1e-9 V instead, one warm DC solve per probe.  Leaves the
 // bench driven at the null.  Counts every call in sim.offset.nulls and
 // every fallback in sim.offset.fallbacks.  Every DC solve starts from
-// `plan` (a Newton LU plan for this bench's pattern) when one is given.
+// `plan` (a Newton LU plan for this bench's pattern) when one is given;
+// otherwise the vid = 0 solve plans and hands its plan on to the rest.
+// The plan the last solve ended with is left in `ws` when one is given.
 OffsetNull measure_offset(OpenLoopBench* bench, const tech::Technology& t,
                           const std::vector<double>& warm = {},
                           sim::SimWorkspace* ws = nullptr,

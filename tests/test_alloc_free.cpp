@@ -3,9 +3,11 @@
 // Replaces global operator new/delete with counting versions, runs each
 // kernel loop twice, and asserts the second pass performs zero heap
 // allocations: the first pass grows the workspace buffers, after which the
-// Newton iteration, the per-frequency AC kernel, its adjoint row and the
-// open-loop AC walk must be steady-state allocation-free.  Everything inside a counted region is plain arithmetic
-// on preallocated storage — no gtest assertions, no string building —
+// Newton iteration, the per-frequency AC kernel, its adjoint row, the
+// open-loop AC walk and the transient's capacitance refresh must be
+// steady-state allocation-free.  Everything inside a counted region is
+// plain arithmetic on preallocated storage — no gtest assertions, no
+// string building —
 // except the bordered-solve check, which compares whole warm
 // dc_operating_point calls that differ only in their iteration count.
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "spice/ac.h"
 #include "spice/dc.h"
 #include "spice/measure.h"
+#include "spice/tran.h"
 #include "spice/workspace.h"
 #include "tech/builtin.h"
 #include "util/units.h"
@@ -331,6 +334,41 @@ TEST(AllocFree, OpenLoopWalkIsAllocationFreeOnWarmScratch) {
   ASSERT_TRUE(walk.ok);
   EXPECT_EQ(walk.metrics.unity_gain_freq, first.metrics.unity_gain_freq);
   EXPECT_EQ(allocs, 0u) << "warm open-loop walk performed heap allocations";
+}
+
+TEST(AllocFree, TransientCapRefreshIsAllocationFreeWhenWarm) {
+  // The refresh after every accepted transient step: re-bias the device
+  // table, run the batch kernel, one pow pair per junction, and sum C's
+  // slots.  After the slots are laid out, a pass over a whole run's
+  // accepted states must not touch the allocator.
+  const tech::Technology t = tech::five_micron();
+  Circuit c = amp_circuit(t);
+  c.vsource(*c.find_vsource("VIN")).wave =
+      Waveform::pulse(1.2, 1.4, 1e-7, 1e-8, 1e-8, 1e-6, 2e-6);
+  const OpResult op = dc_operating_point(c, t);
+  ASSERT_TRUE(op.converged);
+  TranOptions to;
+  to.tstop = 2e-6;
+  to.dt = 2e-8;
+  const TranResult tr = transient(c, t, op, to);
+  ASSERT_TRUE(tr.ok) << tr.error;
+
+  const NonlinearSystem sys(c, t);
+  CapSlots slots;
+  slots.build(sys);
+  DeviceTable devices;
+  sys.build_device_table(&devices);
+  const auto refresh_all = [&] {
+    for (const std::vector<double>& x : tr.states) {
+      slots.refresh(sys, x, &devices);
+    }
+  };
+  refresh_all();
+  const std::vector<double> first = slots.value();
+  const std::size_t allocs = count_allocations(refresh_all);
+  EXPECT_EQ(slots.value(), first);
+  EXPECT_EQ(allocs, 0u) << "warm capacitance refresh performed heap "
+                           "allocations";
 }
 
 }  // namespace

@@ -16,11 +16,13 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "numeric/interpolate.h"
 #include "numeric/linear.h"
 #include "numeric/sparse_lu.h"
+#include "obs/metrics.h"
 #include "spice/dc.h"
 #include "spice/small_signal.h"
 #include "spice/sweep.h"
@@ -425,6 +427,33 @@ TEST(SparseLu, SingularCircuitsFailTheOperatingPoint) {
     num::SparseLu lu;
     EXPECT_FALSE(lu.analyse(pattern, &jac));
     EXPECT_FALSE(dc_operating_point(*c, t, bare).converged);
+  }
+}
+
+TEST(SparseLu, MeasureOpampPlansEachBenchOnce) {
+  // The open-loop bench's DC solves share one Jacobian pattern, so
+  // measure_opamp plans it once, at the vid = 0 solve, and hands the plan
+  // on to the bordered null and the two swing solves.  The rest are the
+  // follower's slew operating point (its flat-start plan fails once at the
+  // first real bias on cases B and C and re-plans), the transient and the
+  // ICMR sweep: 4 analyses on case A, 6 on B and C.
+  const tech::Technology t = tech::five_micron();
+  const auto analyses = [] {
+    const obs::MetricsSnapshot s = obs::Registry::global().snapshot();
+    const obs::MetricEntry* e = s.find("sim.lu.analyses");
+    return e != nullptr ? e->counter : std::uint64_t{0};
+  };
+  const std::pair<core::OpAmpSpec, std::uint64_t> cases[] = {
+      {synth::spec_case_a(), 4u},
+      {synth::spec_case_b(), 6u},
+      {synth::spec_case_c(), 6u}};
+  for (const auto& [spec, expected] : cases) {
+    const synth::SynthesisResult r = synth::synthesize_opamp(t, spec);
+    ASSERT_TRUE(r.success()) << spec.name;
+    const std::uint64_t before = analyses();
+    const synth::MeasuredOpAmp m = synth::measure_opamp(*r.best(), t);
+    ASSERT_TRUE(m.ok) << m.error;
+    EXPECT_EQ(analyses() - before, expected) << "case " << spec.name;
   }
 }
 

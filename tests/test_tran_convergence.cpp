@@ -79,6 +79,24 @@ TEST_P(PaperCaseSlew, MeasuredSlewMatchesFineFixedStep) {
       << "measured " << m.perf.slew << " V/s, dt/64 fixed " << *ref;
 }
 
+TEST_P(PaperCaseSlew, ContractionStopLandsOnTheTightVntolSlew) {
+  // Each step's Newton stops on its contraction rate; at the default
+  // vntol that must cost nothing measurable against a run whose vntol
+  // leaves no doubt about convergence.
+  const tech::Technology t = technology(GetParam());
+  const SynthesisResult r = synthesize_opamp(t, spec_of(GetParam()));
+  ASSERT_TRUE(r.success());
+  const SlewBench sb = slew_bench(*r.best(), t, 0.0);
+  sim::TranOptions tight = sb.tran;
+  tight.vntol = 1e-10;
+  const std::optional<double> slew = follower_slew(sb, t, sb.tran);
+  const std::optional<double> ref = follower_slew(sb, t, tight);
+  ASSERT_TRUE(slew.has_value());
+  ASSERT_TRUE(ref.has_value());
+  EXPECT_NEAR(*slew / *ref, 1.0, 1e-6)
+      << "default vntol " << *slew << " V/s, vntol 1e-10 " << *ref;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Paper, PaperCaseSlew,
     ::testing::Values(PaperCase{"five_micron", 'A'},
@@ -109,6 +127,24 @@ TEST(TranConvergence, FollowerStepRejectsAndRecovers) {
   EXPECT_GT(counter("tran.adaptive.rejects"), rejects)
       << "the follower step never forced a step rejection";
   EXPECT_GT(counter("tran.adaptive.steps"), steps);
+}
+
+TEST(TranConvergence, CaseCNewtonStopsOnItsContractionRate) {
+  // The contraction stop saves the iteration that only confirms
+  // convergence: without it case C's verification transient takes 3.35
+  // Newton iterations per accepted step (593 over 177).
+  const tech::Technology t = tech::five_micron();
+  const SynthesisResult r = synthesize_opamp(t, spec_case_c());
+  ASSERT_TRUE(r.success());
+  const std::uint64_t iterations = counter("sim.tran.newton_iterations");
+  const std::uint64_t steps = counter("sim.tran.steps_accepted");
+  const MeasuredOpAmp m = measure_opamp(*r.best(), t);
+  ASSERT_TRUE(m.ok) << m.error;
+  const double per_step =
+      static_cast<double>(counter("sim.tran.newton_iterations") - iterations) /
+      static_cast<double>(counter("sim.tran.steps_accepted") - steps);
+  EXPECT_LE(per_step, 2.6);
+  EXPECT_GE(per_step, 1.0);
 }
 
 TEST(TranConvergence, ComparatorDelaysMatchFineFixedStep) {
